@@ -22,13 +22,13 @@ import numpy as np
 
 from .distance_field import DfGrid
 from .evaluation import BenchRow, estimate_rows, rmse_translation, rmse_yaw
-from .formats import TrajectoryRow, TrajectorySource
-from .geometry import Pose4, compose, tilt_compensate
+from .formats import TrajectoryRow, ground_truth_rows
+from .geometry import PointCloud, Pose4
 from .nnsearch import KdTree3
-from .registration import IcpOptions, RegistrationError, icp_register
+from .registration import IcpOptions, RegistrationResult, dll_register, icp_register
 from .solver import RobustLoss, SolverOptions
 from .synth import NoiseSetup, ScenarioRun, corrupt_odometry
-from .tracker import ScanFrame, TrackStepError, init_tracker, track_step
+from .tracker import ScanFrame, TrackStepError, advance, init_tracker
 
 MODES = ("baseline", "noodom", "midnoise", "largenoise")
 METHODS = ("dll", "icp")
@@ -71,13 +71,6 @@ class TrackingRun:
     divergence_step: int | None
 
 
-def _gt_rows(scenario: ScenarioRun) -> list[TrajectoryRow]:
-    return [
-        TrajectoryRow(f.timestamp, p.tx, p.ty, p.tz, 0.0, 0.0, p.yaw, TrajectorySource.GROUND_TRUTH)
-        for p, f in zip(scenario.ground_truth, scenario.frames)
-    ]
-
-
 def _diverged_pose(pose: Pose4, truth: Pose4) -> bool:
     err = np.linalg.norm(pose.translation - truth.translation)
     return not np.isfinite(pose.as_array()).all() or err > DIVERGENCE_RADIUS
@@ -113,35 +106,23 @@ def run_tracking(
     diverged = False
     divergence_step: int | None = None
 
-    if method == "dll":
-        state = init_tracker(scenario.ground_truth[0])
-        for k, frame in enumerate(frames):
-            try:
-                state = track_step(state, frame, grid, loss, solver_opts)
-            except TrackStepError:
-                diverged, divergence_step = True, k
-                break
-            poses.append(state.current_pose)
-            times.append(state.last_result.elapsed)
-            if _diverged_pose(state.current_pose, scenario.ground_truth[k]):
-                diverged, divergence_step = True, k
-                break
-    else:
-        pose = scenario.ground_truth[0]
-        for k, frame in enumerate(frames):
-            guess = compose(pose, frame.odom) if frame.odom is not None else pose
-            body = tilt_compensate(frame.cloud, frame.attitude)
-            try:
-                result = icp_register(body, map_index, guess, icp_opts)
-            except (RegistrationError, ValueError):
-                diverged, divergence_step = True, k
-                break
-            pose = result.pose
-            poses.append(pose)
-            times.append(result.elapsed)
-            if _diverged_pose(pose, scenario.ground_truth[k]):
-                diverged, divergence_step = True, k
-                break
+    def register(body: PointCloud, guess: Pose4) -> RegistrationResult:
+        if method == "dll":
+            return dll_register(body, grid, guess, loss, solver_opts)
+        return icp_register(body, map_index, guess, icp_opts)
+
+    state = init_tracker(scenario.ground_truth[0])
+    for k, frame in enumerate(frames):
+        try:
+            state = advance(state, frame, register)
+        except TrackStepError:
+            diverged, divergence_step = True, k
+            break
+        poses.append(state.current_pose)
+        times.append(state.last_result.elapsed)
+        if _diverged_pose(state.current_pose, scenario.ground_truth[k]):
+            diverged, divergence_step = True, k
+            break
 
     rows = estimate_rows(timestamps[: len(poses)], poses, attitudes[: len(poses)])
     return TrackingRun(method, mode, rows, np.array(times), diverged, divergence_step)
@@ -153,7 +134,7 @@ def bench_row(run: TrackingRun, scenario: ScenarioRun) -> BenchRow:
     dt_dev = float(run.step_times.std()) if run.step_times.size else None
     if run.diverged:
         return BenchRow(run.method, run.mode, None, None, None, None, dt_mean, dt_dev, True)
-    gt = _gt_rows(scenario)
+    gt = ground_truth_rows(scenario)
     rt, rt_dev = rmse_translation(run.rows, gt)
     ra, ra_dev = rmse_yaw(run.rows, gt)
     return BenchRow(run.method, run.mode, rt, rt_dev, ra, ra_dev, dt_mean, dt_dev, False)
@@ -167,34 +148,21 @@ def run_benchmark(
     solver_opts: SolverOptions = SolverOptions(),
     icp_opts: IcpOptions = IcpOptions(),
     seed: int = 0,
-    parallel: bool = False,
 ) -> list[BenchRow]:
-    """Run every method under every odometry mode and summarize each.
-
-    With ``parallel`` the independent (method, mode) runs execute on a
-    thread pool; results are identical but the timing columns lose
-    comparability, so leave it off when measuring.
-    """
-    combos = [(m, mode) for m in METHODS for mode in MODES]
-
-    def one(combo):
-        method, mode = combo
-        run = run_tracking(
-            scenario,
-            method,
-            mode,
-            grid=grid,
-            map_index=map_index,
-            loss=loss,
-            solver_opts=solver_opts,
-            icp_opts=icp_opts,
-            seed=seed,
-        )
-        return bench_row(run, scenario)
-
-    if parallel:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            return list(pool.map(one, combos))
-    return [one(c) for c in combos]
+    """Run every method under every odometry mode and summarize each."""
+    rows = []
+    for method in METHODS:
+        for mode in MODES:
+            run = run_tracking(
+                scenario,
+                method,
+                mode,
+                grid=grid,
+                map_index=map_index,
+                loss=loss,
+                solver_opts=solver_opts,
+                icp_opts=icp_opts,
+                seed=seed,
+            )
+            rows.append(bench_row(run, scenario))
+    return rows

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import os
 import sys
 import time
@@ -125,11 +126,33 @@ def cmd_localize(args) -> int:
     return 0
 
 
+STEP_TIMES_HEADER = "step,dt"
+
+
 def _write_step_times(times: np.ndarray, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("step,dt\n")
+        fh.write(STEP_TIMES_HEADER + "\n")
         for k, dt in enumerate(times):
             fh.write(f"{k},{dt:.9g}\n")
+
+
+def _read_step_times(path) -> np.ndarray:
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    if not lines or lines[0].strip() != STEP_TIMES_HEADER:
+        raise ValueError(f"{path}: bad header (expected '{STEP_TIMES_HEADER}')")
+    times = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        try:
+            _, text = line.split(",")
+            dt = float(text)
+        except ValueError:  # wrong column count or a non-numeric dt
+            dt = math.nan
+        if not math.isfinite(dt):
+            raise ValueError(f"{path}: line {lineno}: expected 'step,dt' with a finite dt, got '{line}'")
+        times.append(dt)
+    return np.array(times)
 
 
 def cmd_benchmark(args) -> int:
@@ -149,7 +172,6 @@ def cmd_benchmark(args) -> int:
         solver_opts=cfg.solver,
         icp_opts=cfg.icp,
         seed=seed,
-        parallel=args.parallel,
     )
     _stage("write-report", evaluation.write_report, rows, args.out)
     timing_out = args.timing_out or (str(Path(args.out).with_suffix("")) + "_timing.csv")
@@ -174,8 +196,7 @@ def cmd_eval(args) -> int:
     print(f"rmse_t = {rt:.6f} m (dev {rt_dev:.6f})")
     print(f"rmse_a = {ra:.6f} rad (dev {ra_dev:.6f})")
     if args.timing:
-        lines = Path(args.timing).read_text(encoding="utf-8").splitlines()[1:]
-        times = np.array([float(line.split(",")[1]) for line in lines if line.strip()])
+        times = _stage("read-timing", _read_step_times, args.timing)
         if times.size:
             print(f"dt = {times.mean():.6f} s (dev {times.std():.6f}, n={times.size})")
     return 0
@@ -187,8 +208,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("build-df", help="precompute a distance-field grid from a map cloud")
     p.add_argument("--map", required=True, help="map point cloud (xyz text or binary)")
-    p.add_argument("--resolution", type=float, default=0.05, help="cell edge in meters")
-    p.add_argument("--margin", type=float, default=1.0, help="padding beyond the map bounding box")
+    grid_defaults = formats.GridOptions()
+    p.add_argument("--resolution", type=float, default=grid_defaults.resolution, help="cell edge in meters")
+    p.add_argument(
+        "--margin", type=float, default=grid_defaults.margin, help="padding beyond the map bounding box"
+    )
     p.add_argument("--out", required=True, help="output .df path")
     p.set_defaults(fn=cmd_build_df)
 
@@ -216,7 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, help="override the config seed")
     p.add_argument("--out", required=True, help="output report CSV (deterministic)")
     p.add_argument("--timing-out", help="timing CSV (defaults to <out>_timing.csv)")
-    p.add_argument("--parallel", action="store_true", help="run (method, mode) combos on a thread pool")
     p.set_defaults(fn=cmd_benchmark)
 
     p = sub.add_parser("eval", help="compare an estimate CSV against ground truth")

@@ -44,8 +44,9 @@ def rmse_yaw(est, gt) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class BenchRow:
-    """One benchmark table entry. Error and timing fields are None when the
-    run diverged (the CSV leaves those cells empty)."""
+    """One benchmark table entry. The four rmse fields are None when the run
+    diverged (the report CSV leaves those cells empty); the timing fields
+    still summarize the steps that ran, and are None only when none did."""
 
     method: str
     mode: str

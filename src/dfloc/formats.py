@@ -11,15 +11,15 @@ from __future__ import annotations
 import enum
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from .geometry import Attitude, Frame, OdomDelta, PointCloud, Pose4, wrap_angle
 from .registration import IcpOptions
-from .solver import LossKind, RobustLoss, SolverOptions
-from .synth import NoiseSetup, ScanModel, Scene, ScenarioRun
+from .solver import RobustLoss, SolverOptions
+from .synth import SCENE_KINDS, NoiseSetup, ScanModel, Scene, ScenarioRun
 from .tracker import ScanFrame
 
 CLOUD_MAGIC = b"XYZCLD1\n"
@@ -199,6 +199,12 @@ class GridOptions:
     resolution: float = 0.05
     margin: float = 1.0
 
+    def __post_init__(self):
+        if not self.resolution > 0.0:
+            raise ValueError("resolution must be positive")
+        if not self.margin >= 0.0:
+            raise ValueError("margin must be non-negative")
+
 
 @dataclass(frozen=True)
 class SimOptions:
@@ -211,6 +217,15 @@ class SimOptions:
     step_length: float = 0.15
     scan: ScanModel = field(default_factory=ScanModel)
     frame_dt: float = 0.1
+
+    def __post_init__(self):
+        if self.scene_kind not in SCENE_KINDS:
+            raise ValueError(f"scene kind must be one of {SCENE_KINDS}")
+        for name in ("extent", "density", "step_length", "frame_dt"):
+            if not getattr(self, name) > 0.0:
+                raise ValueError(f"{name} must be positive")
+        if self.steps < 2:
+            raise ValueError("steps must be at least 2")
 
 
 @dataclass(frozen=True)
@@ -225,58 +240,54 @@ class RunConfig:
     seed: int = 0
 
 
-def _positive(v: float) -> bool:
-    return v > 0.0
-
-
-def _non_negative(v: float) -> bool:
-    return v >= 0.0
-
-
-def _fraction(v: float) -> bool:
-    return 0.0 <= v <= 1.0
-
-
-def _at_least_one(v: int) -> bool:
-    return v >= 1
-
-
-def _parse_int(text: str) -> int:
-    return int(text, 0)
-
-
-# key -> (parser, constraint, constraint description). Targets are filled
-# into a flat dict and assembled into RunConfig afterwards.
-_CONFIG_SCHEMA = {
-    "map": (str, lambda v: True, ""),
-    "grid.resolution": (float, _positive, "must be positive"),
-    "grid.margin": (float, _non_negative, "must be non-negative"),
-    "loss.kind": (str, lambda v: v in ("none", "cauchy"), "must be 'none' or 'cauchy'"),
-    "loss.scale": (float, _positive, "must be positive"),
-    "solver.max_iterations": (_parse_int, _at_least_one, "must be at least 1"),
-    "solver.param_tolerance": (float, _positive, "must be positive"),
-    "solver.cost_tolerance": (float, _positive, "must be positive"),
-    "solver.initial_damping": (float, _positive, "must be positive"),
-    "solver.damping_increase": (float, lambda v: v > 1.0, "must exceed 1"),
-    "solver.damping_decrease": (float, lambda v: 0.0 < v < 1.0, "must lie in (0, 1)"),
-    "icp.max_iterations": (_parse_int, _at_least_one, "must be at least 1"),
-    "icp.max_correspondence_distance": (float, _positive, "must be positive"),
-    "icp.outlier_rejection_threshold": (float, _positive, "must be positive"),
-    "icp.convergence_epsilon": (float, _positive, "must be positive"),
-    "noise.sigma_t": (float, _non_negative, "must be non-negative"),
-    "noise.sigma_yaw": (float, _non_negative, "must be non-negative"),
-    "scene.kind": (str, lambda v: v in ("box_room", "building_yard"), "must be 'box_room' or 'building_yard'"),
-    "scene.extent": (float, _positive, "must be positive"),
-    "scene.density": (float, _positive, "must be positive"),
-    "trajectory.steps": (_parse_int, lambda v: v >= 2, "must be at least 2"),
-    "trajectory.step_length": (float, _positive, "must be positive"),
-    "trajectory.frame_dt": (float, _positive, "must be positive"),
-    "scan.points": (_parse_int, _at_least_one, "must be at least 1"),
-    "scan.max_range": (float, _positive, "must be positive"),
-    "scan.noise_sigma": (float, _non_negative, "must be non-negative"),
-    "scan.outlier_fraction": (float, _fraction, "must lie in [0, 1]"),
-    "seed": (_parse_int, lambda v: True, ""),
+# Config key -> attribute path in RunConfig. Defaults and constraints live
+# on the option dataclasses; a value is parsed by the type of its default.
+CONFIG_KEYS = {
+    "map": "map_path",
+    "grid.resolution": "grid.resolution",
+    "grid.margin": "grid.margin",
+    "loss.kind": "loss.kind",
+    "loss.scale": "loss.scale",
+    "solver.max_iterations": "solver.max_iterations",
+    "solver.param_tolerance": "solver.param_tolerance",
+    "solver.cost_tolerance": "solver.cost_tolerance",
+    "solver.initial_damping": "solver.initial_damping",
+    "solver.damping_increase": "solver.damping_increase",
+    "solver.damping_decrease": "solver.damping_decrease",
+    "icp.max_iterations": "icp.max_iterations",
+    "icp.max_correspondence_distance": "icp.max_correspondence_distance",
+    "icp.outlier_rejection_threshold": "icp.outlier_rejection_threshold",
+    "icp.convergence_epsilon": "icp.convergence_epsilon",
+    "noise.sigma_t": "noise.sigma_t",
+    "noise.sigma_yaw": "noise.sigma_yaw",
+    "scene.kind": "sim.scene_kind",
+    "scene.extent": "sim.extent",
+    "scene.density": "sim.density",
+    "trajectory.steps": "sim.steps",
+    "trajectory.step_length": "sim.step_length",
+    "trajectory.frame_dt": "sim.frame_dt",
+    "scan.points": "sim.scan.points",
+    "scan.max_range": "sim.scan.max_range",
+    "scan.noise_sigma": "sim.scan.noise_sigma",
+    "scan.outlier_fraction": "sim.scan.outlier_fraction",
+    "seed": "seed",
 }
+
+
+def _parse_like(text: str, default):
+    if default is None:
+        return text
+    if type(default) is int:
+        return int(text, 0)
+    return type(default)(text)
+
+
+def _with_value(obj, path: str, text: str):
+    """Copy of ``obj`` with the field at dotted ``path`` set from ``text``."""
+    name, _, rest = path.partition(".")
+    current = getattr(obj, name)
+    value = _with_value(current, rest, text) if rest else _parse_like(text, current)
+    return replace(obj, **{name: value})
 
 
 def parse_keyvalues(text: str, path="<config>") -> dict[str, str]:
@@ -294,57 +305,15 @@ def parse_keyvalues(text: str, path="<config>") -> dict[str, str]:
 
 
 def config_from_dict(raw: dict[str, str], path="<config>") -> RunConfig:
-    values: dict[str, object] = {}
+    cfg = RunConfig()
     for key, text in raw.items():
-        if key not in _CONFIG_SCHEMA:
+        if key not in CONFIG_KEYS:
             raise ConfigError(f"{path}: unknown key '{key}'")
-        parser, check, why = _CONFIG_SCHEMA[key]
         try:
-            value = parser(text)
-        except ValueError:
-            raise ConfigError(f"{path}: key '{key}': cannot parse '{text}'") from None
-        if not check(value):
-            raise ConfigError(f"{path}: key '{key}': value {value!r} {why}")
-        values[key] = value
-
-    def take(key, default):
-        return values.get(key, default)
-
-    return RunConfig(
-        map_path=take("map", None),
-        grid=GridOptions(take("grid.resolution", 0.05), take("grid.margin", 1.0)),
-        loss=RobustLoss(LossKind(take("loss.kind", "cauchy")), take("loss.scale", 0.1)),
-        solver=SolverOptions(
-            take("solver.max_iterations", 50),
-            take("solver.param_tolerance", 1e-6),
-            take("solver.cost_tolerance", 1e-8),
-            take("solver.initial_damping", 1e-4),
-            take("solver.damping_increase", 10.0),
-            take("solver.damping_decrease", 0.5),
-        ),
-        icp=IcpOptions(
-            take("icp.max_iterations", 50),
-            take("icp.max_correspondence_distance", 0.1),
-            take("icp.outlier_rejection_threshold", 1.0),
-            take("icp.convergence_epsilon", 1e-9),
-        ),
-        noise=NoiseSetup(take("noise.sigma_t", 0.0), take("noise.sigma_yaw", 0.0)),
-        sim=SimOptions(
-            scene_kind=take("scene.kind", "box_room"),
-            extent=take("scene.extent", 10.0),
-            density=take("scene.density", 100.0),
-            steps=take("trajectory.steps", 100),
-            step_length=take("trajectory.step_length", 0.15),
-            scan=ScanModel(
-                take("scan.max_range", 15.0),
-                take("scan.points", 2000),
-                take("scan.noise_sigma", 0.02),
-                take("scan.outlier_fraction", 0.0),
-            ),
-            frame_dt=take("trajectory.frame_dt", 0.1),
-        ),
-        seed=take("seed", 0),
-    )
+            cfg = _with_value(cfg, CONFIG_KEYS[key], text)
+        except ValueError as exc:
+            raise ConfigError(f"{path}: key '{key}': bad value '{text}': {exc}") from None
+    return cfg
 
 
 def load_config(path) -> RunConfig:
@@ -357,6 +326,14 @@ def load_config(path) -> RunConfig:
 
 SCENARIO_META = "scenario.txt"
 FRAMES_HEADER = "t,dtx,dty,dtz,dyaw,roll,pitch,scan"
+
+
+def ground_truth_rows(run: ScenarioRun) -> list[TrajectoryRow]:
+    """The scenario's true poses as trajectory rows, one per frame."""
+    return [
+        TrajectoryRow(f.timestamp, p.tx, p.ty, p.tz, 0.0, 0.0, p.yaw, TrajectorySource.GROUND_TRUTH)
+        for p, f in zip(run.ground_truth, run.frames)
+    ]
 
 
 def save_scenario(run: ScenarioRun, directory) -> None:
@@ -374,11 +351,7 @@ def save_scenario(run: ScenarioRun, directory) -> None:
     ]
     (directory / SCENARIO_META).write_text("\n".join(meta) + "\n", encoding="utf-8")
     write_cloud(run.scene.map, directory / "map.cld", binary=True)
-    gt_rows = [
-        TrajectoryRow(f.timestamp, p.tx, p.ty, p.tz, 0.0, 0.0, p.yaw, TrajectorySource.GROUND_TRUTH)
-        for p, f in zip(run.ground_truth, run.frames)
-    ]
-    write_trajectory(gt_rows, directory / "ground_truth.csv")
+    write_trajectory(ground_truth_rows(run), directory / "ground_truth.csv")
     with open(directory / "frames.csv", "w", encoding="utf-8") as fh:
         fh.write(FRAMES_HEADER + "\n")
         for k, frame in enumerate(run.frames):

@@ -57,7 +57,11 @@ def cauchy_rho(s, scale: float) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class RobustLoss:
-    """Loss applied to each squared residual: plain quadratic or Cauchy."""
+    """Loss applied to each squared residual: plain quadratic or Cauchy.
+
+    ``scale`` is the Cauchy width. It must be positive for either kind, so
+    switching ``kind`` never turns a rejected scale into an accepted one.
+    """
 
     kind: LossKind = LossKind.CAUCHY
     scale: float = 0.1
@@ -65,8 +69,8 @@ class RobustLoss:
     def __post_init__(self):
         if not isinstance(self.kind, LossKind):
             object.__setattr__(self, "kind", LossKind(self.kind))
-        if self.kind is LossKind.CAUCHY and not self.scale > 0.0:
-            raise ValueError(f"Cauchy loss needs a positive scale, got {self.scale}")
+        if not self.scale > 0.0:
+            raise ValueError(f"loss scale must be positive, got {self.scale}")
 
     def cost_and_weights(self, r: np.ndarray) -> tuple[float, np.ndarray]:
         s = r * r

@@ -67,7 +67,7 @@ class NoiseSetup:
     seed: int = 0
 
     def __post_init__(self):
-        if self.sigma_t < 0.0 or self.sigma_yaw < 0.0:
+        if not (self.sigma_t >= 0.0 and self.sigma_yaw >= 0.0):
             raise ValueError("noise sigmas must be non-negative")
 
 
@@ -85,7 +85,7 @@ class ScanModel:
             raise ValueError("max_range must be positive")
         if self.points < 1:
             raise ValueError("points must be at least 1")
-        if self.noise_sigma < 0.0:
+        if not self.noise_sigma >= 0.0:
             raise ValueError("noise_sigma must be non-negative")
         if not 0.0 <= self.outlier_fraction <= 1.0:
             raise ValueError("outlier_fraction must lie in [0, 1]")

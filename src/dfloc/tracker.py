@@ -1,9 +1,12 @@
-"""Sequential pose tracking: predict with odometry, compensate tilt, refine.
+"""Sequential pose tracking: predict with odometry, compensate tilt, register.
 
-Each step composes the previous estimate with the body-frame odometry
-increment (or reuses the previous estimate when no odometry is
-available), tilt-compensates the sensor cloud with the frame's IMU
-attitude, and refines against the distance field. A tracker is a
+``advance`` is the one tracking step. It composes the previous estimate
+with the body-frame odometry increment (or reuses the previous estimate
+when no odometry is available), tilt-compensates the sensor cloud with
+the frame's IMU attitude, and hands the body-frame cloud and the guess to
+a registrar, ``(body, guess) -> RegistrationResult``. ``track_step`` is
+``advance`` with the distance-field registrar (``dll_register``); the
+benchmark passes an ICP registrar to the same step. A tracker is a
 sequential state machine; distinct trackers over the same grid may run
 concurrently.
 """
@@ -11,11 +14,14 @@ concurrently.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .distance_field import DfGrid
 from .geometry import Attitude, OdomDelta, PointCloud, Pose4, compose, tilt_compensate
 from .registration import RegistrationError, RegistrationResult, dll_register
 from .solver import RobustLoss, SolverOptions
+
+Registrar = Callable[[PointCloud, Pose4], RegistrationResult]
 
 
 @dataclass(frozen=True)
@@ -52,14 +58,8 @@ def init_tracker(initial_pose: Pose4) -> TrackerState:
     return TrackerState(initial_pose, None, 0)
 
 
-def track_step(
-    state: TrackerState,
-    frame: ScanFrame,
-    grid: DfGrid,
-    loss: RobustLoss = RobustLoss(),
-    opts: SolverOptions = SolverOptions(),
-) -> TrackerState:
-    """Advance the tracker by one frame and return the new state.
+def advance(state: TrackerState, frame: ScanFrame, register: Registrar) -> TrackerState:
+    """Advance the tracker by one frame with ``register`` and return the new state.
 
     On registration failure the previous state is left untouched and a
     TrackStepError is raised; holding the last pose (rather than silent
@@ -71,7 +71,20 @@ def track_step(
         guess = state.current_pose
     body = tilt_compensate(frame.cloud, frame.attitude)
     try:
-        result = dll_register(body, grid, guess, loss, opts)
+        result = register(body, guess)
     except (RegistrationError, ValueError) as exc:
         raise TrackStepError(state.step_index, exc) from exc
     return TrackerState(result.pose, result, state.step_index + 1)
+
+
+def track_step(
+    state: TrackerState,
+    frame: ScanFrame,
+    grid: DfGrid,
+    loss: RobustLoss = RobustLoss(),
+    opts: SolverOptions = SolverOptions(),
+) -> TrackerState:
+    """Advance the tracker by one frame, registering against the distance field."""
+    # dll_register is looked up in this module on each call, so a wrapper
+    # installed as tracker.dll_register (tracing, tests) sees every step.
+    return advance(state, frame, lambda body, guess: dll_register(body, grid, guess, loss, opts))

@@ -66,6 +66,30 @@ def test_eval_on_estimates(workspace, capsys):
     assert "rmse_t" in out and "rmse_a" in out
 
 
+@pytest.mark.parametrize(
+    "content",
+    [None, "", "t,dt\n0,0.1\n", "step,dt\n0,fast\n", "step,dt\n0\n", "step,dt\n0,nan\n"],
+    ids=["missing", "empty", "bad-header", "non-numeric", "short-row", "non-finite"],
+)
+def test_eval_bad_timing_is_stage_error(workspace, tmp_path, capsys, content):
+    root, _ = workspace
+    gt = root / "scn" / "ground_truth.csv"
+    timing = tmp_path / "times.csv"
+    if content is not None:
+        timing.write_text(content)
+    assert main(["eval", "--est", str(gt), "--gt", str(gt), "--timing", str(timing)]) == 2
+    assert "read-timing" in capsys.readouterr().err
+
+
+def test_eval_reads_timing(workspace, tmp_path, capsys):
+    root, _ = workspace
+    gt = root / "scn" / "ground_truth.csv"
+    timing = tmp_path / "times.csv"
+    timing.write_text("step,dt\n0,0.1\n\n1,0.3\n")
+    assert main(["eval", "--est", str(gt), "--gt", str(gt), "--timing", str(timing)]) == 0
+    assert "dt = 0.200000 s (dev 0.100000, n=2)" in capsys.readouterr().out
+
+
 def test_benchmark_deterministic_bytes(workspace):
     root, cfg = workspace
     a, b = root / "rep_a.csv", root / "rep_b.csv"

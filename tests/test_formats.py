@@ -1,9 +1,13 @@
+import enum
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dfloc.formats import (
+    CONFIG_KEYS,
     CloudFormatError,
     CloudParseError,
     CloudValueError,
@@ -174,6 +178,78 @@ def test_config_constraint_violation():
         config_from_dict({"solver.max_iterations": "0"})
     with pytest.raises(ConfigError, match="scan.outlier_fraction"):
         config_from_dict({"scan.outlier_fraction": "1.5"})
+
+
+# One violating value per constraint of the documented config keys (FORMATS.md),
+# plus NaN for every float key: NaN fails every comparison, so a check written
+# as `x < 0` would let it through.
+CONSTRAINT_VIOLATIONS = {
+    "grid.resolution": ["0", "nan"],
+    "grid.margin": ["-0.1", "nan"],
+    "loss.kind": ["huber"],
+    "loss.scale": ["0", "nan"],
+    "solver.max_iterations": ["0"],
+    "solver.param_tolerance": ["0", "nan"],
+    "solver.cost_tolerance": ["-1e-8", "nan"],
+    "solver.initial_damping": ["0", "nan"],
+    "solver.damping_increase": ["1", "nan"],
+    "solver.damping_decrease": ["0", "1", "nan"],
+    "icp.max_iterations": ["0"],
+    "icp.max_correspondence_distance": ["0", "nan"],
+    "icp.outlier_rejection_threshold": ["-1", "nan"],
+    "icp.convergence_epsilon": ["0", "nan"],
+    "noise.sigma_t": ["-0.1", "nan"],
+    "noise.sigma_yaw": ["-0.1", "nan"],
+    "scene.kind": ["forest"],
+    "scene.extent": ["0", "nan"],
+    "scene.density": ["-1", "nan"],
+    "trajectory.steps": ["1"],
+    "trajectory.step_length": ["0", "nan"],
+    "trajectory.frame_dt": ["0", "nan"],
+    "scan.points": ["0"],
+    "scan.max_range": ["0", "nan"],
+    "scan.noise_sigma": ["-0.01", "nan"],
+    "scan.outlier_fraction": ["-0.1", "1.5", "nan"],
+    "seed": ["1.5"],
+}
+
+
+@pytest.mark.parametrize(
+    "key,value", [(k, v) for k, values in CONSTRAINT_VIOLATIONS.items() for v in values]
+)
+def test_config_constraint_table(key, value):
+    with pytest.raises(ConfigError, match=re.escape(f"'{key}'")):
+        config_from_dict({key: value})
+
+
+def test_config_loss_scale_checked_without_cauchy():
+    with pytest.raises(ConfigError, match="loss.scale"):
+        config_from_dict({"loss.kind": "none", "loss.scale": "-1"})
+
+
+def _formats_md_config_table() -> dict[str, str]:
+    text = (Path(__file__).resolve().parents[1] / "FORMATS.md").read_text(encoding="utf-8")
+    section = text.split("## Run configuration", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `([^`]+)` \| ([^|]+?) \|", section, flags=re.MULTILINE)
+    return dict(rows)
+
+
+def test_formats_md_config_table_matches_defaults():
+    table = _formats_md_config_table()
+    assert set(table) == set(CONFIG_KEYS)
+    defaults = config_from_dict({})
+    for key, documented in table.items():
+        value = defaults
+        for name in CONFIG_KEYS[key].split("."):
+            value = getattr(value, name)
+        if value is None:
+            assert documented == "unset", key
+        elif isinstance(value, enum.Enum):
+            assert documented == value.value, key
+        elif isinstance(value, str):
+            assert documented == value, key
+        else:
+            assert float(documented) == value, key
 
 
 def test_config_file_parsing(tmp_path):

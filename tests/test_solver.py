@@ -56,6 +56,11 @@ def test_cauchy_requires_positive_scale():
         RobustLoss(LossKind.CAUCHY, -1.0)
 
 
+def test_loss_scale_must_be_positive_for_every_kind():
+    with pytest.raises(ValueError):
+        RobustLoss(LossKind.NONE, -1.0)
+
+
 def test_zero_residual_start_converges_immediately():
     def provider(pose):
         return np.zeros(3), np.zeros((3, 4))

@@ -86,6 +86,13 @@ def test_trajectory_bounded_yaw_rate():
     assert dyaw.max() <= 0.25
 
 
+def test_noise_and_scan_sigmas_reject_nan():
+    for bad in (lambda: NoiseSetup(math.nan), lambda: NoiseSetup(0.0, math.nan),
+                lambda: ScanModel(noise_sigma=math.nan)):
+        with pytest.raises(ValueError):
+            bad()
+
+
 def test_trajectory_scene_too_small():
     scene = make_scene("box_room", 1.5, 50.0, seed=11)
     with pytest.raises(ValueError):

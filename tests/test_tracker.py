@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
-from dfloc.geometry import Attitude, Frame, OdomDelta, PointCloud, Pose4
+from dfloc import tracker
+from dfloc.geometry import Attitude, Frame, OdomDelta, PointCloud, Pose4, compose, tilt_compensate
+from dfloc.nnsearch import build_index
+from dfloc.registration import icp_register
 from dfloc.synth import NoiseSetup, ScanModel, make_scenario
-from dfloc.tracker import ScanFrame, TrackStepError, init_tracker, track_step
+from dfloc.tracker import ScanFrame, TrackStepError, advance, init_tracker, track_step
 
 
 def test_init_tracker_stores_pose():
@@ -113,3 +116,34 @@ def test_pose_continuity_under_bounded_noise(small_scene, small_grid):
         odom_norm = np.linalg.norm([frame.odom.dtx, frame.odom.dty, frame.odom.dtz])
         assert jump <= odom_norm + 4 * sigma_t + 3 * per_step_tol
         prev = state.current_pose
+
+
+def test_advance_with_icp_registrar_matches_manual_step(small_scene):
+    scenario = make_scenario(small_scene, 4, 0.15, ScanModel(max_range=10, points=300, noise_sigma=0.01),
+                             NoiseSetup(0.02, 0.005), seed=57)
+    index = build_index(small_scene.map)
+    state = init_tracker(scenario.ground_truth[0])
+    pose = state.current_pose
+    for frame in scenario.frames:
+        state = advance(state, frame, lambda body, guess: icp_register(body, index, guess))
+        body = tilt_compensate(frame.cloud, frame.attitude)
+        pose = icp_register(body, index, compose(pose, frame.odom)).pose
+        assert state.current_pose == pose
+    assert state.step_index == 4
+
+
+def test_track_step_resolves_dll_register_per_call(monkeypatch, small_scene, small_grid):
+    # Wrappers installed as tracker.dll_register (e.g. tracing) must see every step.
+    scenario = make_scenario(small_scene, 2, 0.15, ScanModel(max_range=10, points=300), NoiseSetup(), seed=58)
+    guesses = []
+    real = tracker.dll_register
+
+    def spy(body, grid, guess, *rest):
+        guesses.append(guess)
+        return real(body, grid, guess, *rest)
+
+    monkeypatch.setattr(tracker, "dll_register", spy)
+    start = scenario.ground_truth[0]
+    frame = scenario.frames[1]
+    track_step(init_tracker(start), frame, small_grid)
+    assert guesses == [compose(start, frame.odom)]
