@@ -101,9 +101,12 @@ def cmd_localize(args) -> int:
     cfg = _load_config(args.config)
     seed = cfg.seed if args.seed is None else args.seed
     scenario = _stage("read-scenario", formats.load_scenario, args.scenario)
-    grid = _stage("read-grid", load_grid, args.grid)
-    _check_volume(scenario, grid)
-    map_index = build_index(scenario.scene.map) if args.method == "icp" else None
+    grid = map_index = None
+    if args.method == "icp":
+        map_index = build_index(scenario.scene.map)
+    elif args.grid is not None:
+        grid = _stage("read-grid", load_grid, args.grid)
+        _check_volume(scenario, grid)
     run = _stage(
         "track",
         bench.run_tracking,
@@ -223,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("localize", help="run the tracker over a scenario")
-    p.add_argument("--grid", required=True, help=".df grid built from the scenario map")
+    p.add_argument("--grid", help=".df grid built from the scenario map (needed for --method dll)")
     p.add_argument("--scenario", required=True, help="scenario directory")
     p.add_argument("--method", choices=bench.METHODS, default="dll")
     p.add_argument("--mode", choices=bench.MODES, default="baseline")

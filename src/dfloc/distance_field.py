@@ -23,13 +23,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Frame, FrameError, PointCloud
-from .nnsearch import build_index
+from .nnsearch import FIELD_LEAF_SIZE, build_index
 
 GRID_MAGIC = b"DFGRID1\n"
 GRID_VERSION = 1
 
 # Refuse headers implying more lattice nodes than this (corrupt or hostile files).
 MAX_NODES = 1 << 33
+
+# Lattice nodes per build slab (whole x planes, at least one). The build's
+# peak memory is its output plus the working arrays of one slab.
+SLAB_NODES = 1 << 16
 
 
 class GridFileError(ValueError):
@@ -85,9 +89,16 @@ class GridSpec:
         """Maximum corner of the grid volume."""
         return self.origin + self.resolution * self.counts
 
-    def node_coordinates(self) -> np.ndarray:
-        """All lattice node positions, shape ((nx+1)*(ny+1)*(nz+1), 3), x fastest last axis order (ij indexing)."""
-        axes = [self.origin[a] + self.resolution * np.arange(self.counts[a] + 1) for a in range(3)]
+    def node_coordinates(self, x_start: int = 0, x_stop: int | None = None) -> np.ndarray:
+        """Lattice node positions of the x planes [x_start, x_stop), all by default.
+
+        Shape ((x_stop-x_start)*(ny+1)*(nz+1), 3) in ij order (z varies
+        fastest). A node's coordinates do not depend on the range asked for.
+        """
+        if x_stop is None:
+            x_stop = self.nx + 1
+        ranges = (np.arange(x_start, x_stop), np.arange(self.ny + 1), np.arange(self.nz + 1))
+        axes = [self.origin[a] + self.resolution * ranges[a] for a in range(3)]
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack(mesh, axis=-1).reshape(-1, 3)
 
@@ -130,6 +141,8 @@ class DfGrid:
             raise ValueError(f"coefficient array shape {coeffs.shape} != {expect_cells}")
         if not np.isfinite(nodes).all() or (nodes < 0.0).any():
             raise ValueError("node distances must be finite and non-negative")
+        if not np.isfinite(coeffs).all():
+            raise ValueError("cell coefficients must be finite")
         nodes.setflags(write=False)
         coeffs.setflags(write=False)
         object.__setattr__(self, "node_distances", nodes)
@@ -188,30 +201,42 @@ def build_grid(cloud: PointCloud, spec: GridSpec, workers: int = -1) -> DfGrid:
     """Compute exact nearest-map distances on the lattice and fit every cell.
 
     This is the expensive offline step; ``workers`` is forwarded to the
-    nearest-neighbor queries (-1 = all cores). The result is bitwise
-    independent of the worker count.
+    nearest-neighbor queries (-1 = all cores). The lattice is filled in
+    slabs of whole x planes (``SLAB_NODES`` nodes), and each slab's cells
+    are fitted as soon as both of their x planes are known, so only one
+    slab's coordinates, corner stack and coefficients are held at a time.
+    The result is bitwise independent of the worker count and slab size.
     """
     if len(cloud) == 0:
         raise ValueError("cannot build a distance field from an empty map")
     if cloud.frame is not Frame.MAP:
         raise FrameError(f"distance fields are built from map-frame clouds, got '{cloud.frame.value}'")
-    index = build_index(cloud)
-    _, dist = index.nearest_many(spec.node_coordinates(), workers=workers)
-    nodes = dist.reshape(spec.nx + 1, spec.ny + 1, spec.nz + 1)
-    corners = np.stack(
-        [
-            nodes[:-1, :-1, :-1],
-            nodes[1:, :-1, :-1],
-            nodes[:-1, 1:, :-1],
-            nodes[1:, 1:, :-1],
-            nodes[:-1, :-1, 1:],
-            nodes[1:, :-1, 1:],
-            nodes[:-1, 1:, 1:],
-            nodes[1:, 1:, 1:],
-        ],
-        axis=-1,
-    )
-    coeffs = fit_cell_coeffs(corners, spec.resolution)
+    index = build_index(cloud, leaf_size=FIELD_LEAF_SIZE)
+    nx, ny, nz = spec.nx, spec.ny, spec.nz
+    nodes = np.empty((nx + 1, ny + 1, nz + 1))
+    coeffs = np.empty((nx, ny, nz, 8))
+    planes = max(1, SLAB_NODES // ((ny + 1) * (nz + 1)))
+    for x0 in range(0, nx + 1, planes):
+        x1 = min(x0 + planes, nx + 1)
+        _, dist = index.nearest_many(spec.node_coordinates(x0, x1), workers=workers)
+        nodes[x0:x1] = dist.reshape(x1 - x0, ny + 1, nz + 1)
+        # Cell i spans node planes i and i + 1: cells before plane x1 - 1 are now complete.
+        c0 = max(x0 - 1, 0)
+        block = nodes[c0:x1]
+        corners = np.stack(
+            [
+                block[:-1, :-1, :-1],
+                block[1:, :-1, :-1],
+                block[:-1, 1:, :-1],
+                block[1:, 1:, :-1],
+                block[:-1, :-1, 1:],
+                block[1:, :-1, 1:],
+                block[:-1, 1:, 1:],
+                block[1:, 1:, 1:],
+            ],
+            axis=-1,
+        )
+        coeffs[c0 : x1 - 1] = fit_cell_coeffs(corners, spec.resolution)
     return DfGrid(spec, nodes, coeffs)
 
 

@@ -1,9 +1,15 @@
-"""Exact 3D nearest-neighbor search for the offline distance-field build.
+"""Exact 3D nearest-neighbor search for the distance-field build and for ICP.
 
-The index wraps scipy's cKDTree (median split on the widest axis, leaf
-bucket size 16). Returned distances are always recomputed from the
-winning point with the same expression ``brute_force_nearest`` uses, so
-the tree and the linear-scan oracle agree bit for bit.
+The index wraps scipy's cKDTree (median split on the widest axis). Its
+leaf bucket size depends on where the queries fall. ICP's online
+correspondence queries lie near the surface, where small leaves are
+fastest, so ``build_index`` defaults to ``LEAF_SIZE = 16``. The field
+build queries every lattice node, and most nodes lie far from the
+surface; such a query visits many leaves, and larger leaves make it
+cheaper, so the build uses ``FIELD_LEAF_SIZE``. Returned distances are
+always recomputed from the winning point with the same expression
+``brute_force_nearest`` uses, so the tree and the linear-scan oracle
+agree bit for bit whatever the leaf size.
 """
 
 from __future__ import annotations
@@ -14,6 +20,8 @@ from scipy.spatial import cKDTree
 from .geometry import PointCloud
 
 LEAF_SIZE = 16
+# Chosen by a sweep of {32, 64, 128} on the benchmark's build workload (see CHANGES.md).
+FIELD_LEAF_SIZE = 64
 
 
 def _as_points(points) -> np.ndarray:
@@ -37,7 +45,7 @@ class KdTree3:
     single-threaded and deterministic for a given input order.
     """
 
-    def __init__(self, points):
+    def __init__(self, points, leaf_size: int = LEAF_SIZE):
         pts = _as_points(points)
         if pts.shape[0] == 0:
             raise ValueError("cannot build an index over an empty cloud")
@@ -45,7 +53,7 @@ class KdTree3:
             raise ValueError("index points must be finite")
         self.points = np.ascontiguousarray(pts)
         self.points.setflags(write=False)
-        self._tree = cKDTree(self.points, leafsize=LEAF_SIZE, balanced_tree=True)
+        self._tree = cKDTree(self.points, leafsize=leaf_size, balanced_tree=True)
 
     def __len__(self) -> int:
         return self.points.shape[0]
@@ -65,9 +73,9 @@ class KdTree3:
         return winners, _exact_distance(queries, winners)
 
 
-def build_index(points) -> KdTree3:
-    """Build the exact nearest-neighbor index used by the grid builder."""
-    return KdTree3(points)
+def build_index(points, leaf_size: int = LEAF_SIZE) -> KdTree3:
+    """Build the exact nearest-neighbor index over a map cloud."""
+    return KdTree3(points, leaf_size=leaf_size)
 
 
 def nearest(index: KdTree3, q) -> tuple[np.ndarray, float]:

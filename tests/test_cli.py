@@ -50,6 +50,28 @@ def test_localize_writes_trajectory(workspace):
     assert (root / "times.csv").read_text().startswith("step,dt")
 
 
+def test_localize_icp_needs_no_grid(workspace, tmp_path):
+    root, cfg = workspace
+    common = ["--scenario", str(root / "scn"), "--method", "icp", "--mode", "baseline",
+              "--config", str(cfg)]
+    assert main(["localize", *common, "--out", str(tmp_path / "bare.csv")]) == 0
+    assert main(["localize", "--grid", str(root / "g.df"), *common,
+                 "--out", str(tmp_path / "with_grid.csv")]) == 0
+    assert len(read_trajectory(tmp_path / "bare.csv")) == 6
+    assert (tmp_path / "bare.csv").read_bytes() == (tmp_path / "with_grid.csv").read_bytes()
+
+
+def test_localize_dll_without_grid_is_stage_error(workspace, tmp_path, capsys):
+    root, cfg = workspace
+    code = main([
+        "localize", "--scenario", str(root / "scn"), "--method", "dll", "--mode", "baseline",
+        "--config", str(cfg), "--out", str(tmp_path / "est.csv"),
+    ])
+    assert code == 2
+    assert "error: track: the field method needs a distance-field grid" in capsys.readouterr().err
+    assert not (tmp_path / "est.csv").exists()
+
+
 def test_eval_reports_zero_for_ground_truth(workspace, capsys):
     root, _ = workspace
     gt = root / "scn" / "ground_truth.csv"

@@ -1,13 +1,16 @@
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from dfloc import distance_field
 from dfloc.distance_field import (
     GRID_MAGIC,
     DfGrid,
     GridDimensionError,
+    GridFileError,
     GridMagicError,
     GridSpec,
     GridTruncatedError,
@@ -114,6 +117,54 @@ def test_node_exactness_small():
     grid = build_grid(cloud, spec)
     oracle = brute_force_distances(cloud, spec.node_coordinates())
     assert np.abs(grid.node_distances.ravel() - oracle).max() < 1e-9
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def test_build_independent_of_workers_and_slabs(monkeypatch):
+    rng = np.random.default_rng(21)
+    cloud = PointCloud(rng.uniform(0, 3, size=(300, 3)), Frame.MAP)
+    spec = plan_grid(cloud, 0.25, margin=0.5)
+    assert (spec.nx + 1) % 5 != 0
+    plane = (spec.ny + 1) * (spec.nz + 1)
+    reference = build_grid(cloud, spec, workers=1)
+    oracle = brute_force_distances(cloud, spec.node_coordinates())
+    assert _same_bits(reference.node_distances.ravel(), oracle)
+    variants = [("workers=-1", distance_field.SLAB_NODES, -1), ("one plane", plane, 1),
+                ("half a plane", plane // 2, -1), ("5 planes", 5 * plane, 1)]
+    for name, slab, workers in variants:
+        monkeypatch.setattr(distance_field, "SLAB_NODES", slab)
+        grid = build_grid(cloud, spec, workers=workers)
+        assert _same_bits(grid.node_distances, reference.node_distances), name
+        assert _same_bits(grid.coeffs, reference.coeffs), name
+
+
+def test_node_coordinates_x_range_matches_full_lattice():
+    spec = GridSpec(np.array([-1.3, 0.7, 2.1]), 0.37, 6, 3, 4)
+    full = spec.node_coordinates()
+    plane = (spec.ny + 1) * (spec.nz + 1)
+    assert full.shape == ((spec.nx + 1) * plane, 3)
+    for x0, x1 in ((0, 1), (2, 5), (4, 7)):
+        assert _same_bits(spec.node_coordinates(x0, x1), full[x0 * plane : x1 * plane])
+
+
+def test_build_memory_bounded():
+    # 1.03 M nodes, many build slabs. A build that holds every node
+    # coordinate and the whole corner stack at once peaks near 2.3x.
+    rng = np.random.default_rng(22)
+    cloud = PointCloud(rng.uniform(0, 1, size=(200, 3)), Frame.MAP)
+    spec = GridSpec(np.zeros(3), 0.01, 100, 100, 100)
+    assert (spec.nx + 1) * (spec.ny + 1) * (spec.nz + 1) > 3 * distance_field.SLAB_NODES
+    tracemalloc.start()
+    try:
+        grid = build_grid(cloud, spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    output = grid.node_distances.nbytes + grid.coeffs.nbytes
+    assert peak < 1.3 * output, f"peak {peak / 1e6:.1f} MB for {output / 1e6:.1f} MB of output"
 
 
 def test_build_requires_map_frame():
@@ -265,6 +316,17 @@ def test_load_rejects_truncated_payload(tmp_path, small_grid):
         load_grid(path)
 
 
+def test_load_rejects_non_finite_coefficient(tmp_path, small_grid):
+    path = tmp_path / "nan.df"
+    save_grid(small_grid, path)
+    raw = bytearray(path.read_bytes())
+    # The coefficients are the last doubles of the file; poison one mid-table.
+    struct.pack_into("<d", raw, len(raw) - 8 * (small_grid.coeffs.size // 2), math.nan)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(GridFileError, match="coefficients must be finite"):
+        load_grid(path)
+
+
 def test_load_rejects_dimension_overflow(tmp_path, small_grid):
     path = tmp_path / "dims.df"
     save_grid(small_grid, path)
@@ -282,3 +344,8 @@ def test_grid_validates_shapes():
         DfGrid(spec, np.zeros((3, 3, 3)), np.zeros((2, 2, 2, 7)))
     with pytest.raises(ValueError):
         DfGrid(spec, -np.ones((3, 3, 3)), np.zeros((2, 2, 2, 8)))
+    for bad in (math.nan, math.inf, -math.inf):
+        coeffs = np.zeros((2, 2, 2, 8))
+        coeffs[1, 0, 1, 5] = bad
+        with pytest.raises(ValueError, match="coefficients must be finite"):
+            DfGrid(spec, np.zeros((3, 3, 3)), coeffs)

@@ -3,6 +3,8 @@ import pytest
 
 from dfloc.geometry import Frame, PointCloud
 from dfloc.nnsearch import (
+    FIELD_LEAF_SIZE,
+    LEAF_SIZE,
     KdTree3,
     brute_force_distances,
     brute_force_nearest,
@@ -57,6 +59,19 @@ def test_nearest_many_matches_blocked_oracle():
     _, d = index.nearest_many(queries)
     oracle = brute_force_distances(pts, queries)
     assert np.array_equal(d, oracle)
+
+
+def test_leaf_size_does_not_change_distances():
+    rng = np.random.default_rng(12)
+    pts = rng.uniform(0, 5, size=(3000, 3))
+    # Near and far queries, plus half-integer points equidistant from lattice map points.
+    lattice = np.stack(np.meshgrid(*[np.arange(4.0)] * 3, indexing="ij"), axis=-1).reshape(-1, 3)
+    pts = np.vstack([pts, lattice])
+    queries = np.vstack([rng.uniform(-3, 8, size=(1000, 3)), lattice[:-1] + 0.5])
+    oracle = brute_force_distances(pts, queries)
+    for leaf in (1, LEAF_SIZE, FIELD_LEAF_SIZE, 256):
+        _, d = build_index(pts, leaf_size=leaf).nearest_many(queries, workers=2)
+        assert np.array_equal(d.view(np.uint64), oracle.view(np.uint64)), leaf
 
 
 def test_translation_equivariance():
