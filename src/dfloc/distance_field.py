@@ -11,14 +11,17 @@ corner, offsets in meters within [0, resolution]). The polynomial
 reproduces the 8 corner distances exactly and provides the analytic
 gradient the registration solver consumes.
 
-Queries outside the grid volume return value 0, gradient 0, inside=False,
-so off-map points drop out of the optimization instead of raising.
+Queries outside the grid volume return value 0, gradient 0, inside=False
+instead of raising. The registration residual does not use that 0: it
+charges an off-volume point the grid's largest node distance
+(``DfGrid.max_distance``), so moving points off the map never lowers the
+cost.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -123,12 +126,15 @@ class DfGrid:
 
     node_distances has shape (nx+1, ny+1, nz+1); coeffs has shape
     (nx, ny, nz, 8). Both are read-only after construction, so a grid can
-    serve any number of concurrent queries.
+    serve any number of concurrent queries. ``max_distance`` is the largest
+    node distance, an upper bound of the field inside the volume, computed
+    once here.
     """
 
     spec: GridSpec
     node_distances: np.ndarray
     coeffs: np.ndarray
+    max_distance: float = field(init=False, repr=False)
 
     def __post_init__(self):
         nodes = np.ascontiguousarray(np.asarray(self.node_distances, dtype=np.float64))
@@ -147,6 +153,7 @@ class DfGrid:
         coeffs.setflags(write=False)
         object.__setattr__(self, "node_distances", nodes)
         object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "max_distance", float(nodes.max()))
 
 
 def plan_grid(cloud: PointCloud, resolution: float, margin: float = 1.0) -> GridSpec:

@@ -23,7 +23,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .distance_field import DfGrid, query_columns, query_many
+# query_many is no longer called here. It stays importable from this module
+# because perfbench/tracing.py wraps it under this name to count calls.
+from .distance_field import DfGrid, query_columns, query_many  # noqa: F401
 from .geometry import (
     Frame,
     FrameError,
@@ -86,13 +88,27 @@ class IcpReport:
 @dataclass(frozen=True)
 class RegistrationResult:
     """Refined pose plus diagnostics. points_used + points_out_of_map always
-    equals the input cloud size."""
+    equals the input cloud size. For ``dll_register``, ``report`` is the
+    fine pass and ``coarse_report`` the coarse pass (None when it did not
+    run); ICP results carry no coarse report."""
 
     pose: Pose4
     report: SolveReport | IcpReport
     elapsed: float
     points_used: int
     points_out_of_map: int
+    coarse_report: SolveReport | None = None
+
+
+class FieldEvaluation(tuple):
+    """``(residuals, jacobian)`` of the field objective at one pose, with the
+    points' in-volume mask as ``inside``. It unpacks as the pair the solver
+    expects."""
+
+    def __new__(cls, residuals: np.ndarray, jacobian: np.ndarray, inside: np.ndarray):
+        evaluation = super().__new__(cls, (residuals, jacobian))
+        evaluation.inside = inside
+        return evaluation
 
 
 def df_residuals(grid: DfGrid, body_points: np.ndarray) -> ResidualProvider:
@@ -100,10 +116,14 @@ def df_residuals(grid: DfGrid, body_points: np.ndarray) -> ResidualProvider:
 
     At pose T, residual i is DF(T p_i); the Jacobian row is the field
     gradient for the three translation columns and gradient . d(R_z p)/dyaw
-    for the yaw column. Out-of-volume points contribute zero rows (their
-    field value and gradient are zero). Since d(R_z p)/dyaw = (-ry, rx, 0)
+    for the yaw column. An out-of-volume point gets the constant residual
+    ``grid.max_distance`` (no smaller than any in-volume value) and a zero
+    Jacobian row: it pulls on no parameter, but leaving the grid never
+    lowers the cost, so the solver cannot improve its objective by pushing
+    points off the map. Since d(R_z p)/dyaw = (-ry, rx, 0)
     with (rx, ry) the rotated point, the yaw column comes straight from
-    the already-transformed coordinates.
+    the already-transformed coordinates. Each call returns a
+    ``FieldEvaluation``.
     """
     pts = np.asarray(body_points, dtype=np.float64)
     px = np.ascontiguousarray(pts[:, 0])
@@ -118,6 +138,7 @@ def df_residuals(grid: DfGrid, body_points: np.ndarray) -> ResidualProvider:
         jac = np.empty((pts.shape[0], 4))
         if not inside.all():
             zero = ~inside
+            value = np.where(zero, grid.max_distance, value)
             gx = np.where(zero, 0.0, gx)
             gy = np.where(zero, 0.0, gy)
             gz = np.where(zero, 0.0, gz)
@@ -125,7 +146,7 @@ def df_residuals(grid: DfGrid, body_points: np.ndarray) -> ResidualProvider:
         jac[:, 1] = gy
         jac[:, 2] = gz
         jac[:, 3] = gy * rx - gx * ry
-        return value, jac
+        return FieldEvaluation(value, jac, inside)
 
     return provider
 
@@ -140,6 +161,10 @@ def _check_registration_cloud(cloud: PointCloud) -> None:
 
 
 COARSE_CAUCHY_SCALE = 1.0
+# The coarse pass starts nearly undamped, whatever SolverOptions says
+# (that sets the fine pass), so that its first steps toward the basin are
+# long ones.
+COARSE_INITIAL_DAMPING = 1e-4
 
 
 def dll_register(
@@ -157,7 +182,8 @@ def dll_register(
     coarse-to-fine: one pass with the kernel widened to ``coarse_scale``,
     then the configured loss, started from whichever of the guess and the
     coarse result scores better under the final loss. The returned cost
-    therefore never exceeds the cost at the guess.
+    therefore never exceeds the cost at the guess. Each pose is evaluated
+    once: the fine pass starts from the coarse pass's own evaluation.
 
     Raises UnobservableCloudError when no point lands inside the grid at
     the guess (the pose is unconstrained there), and RegistrationError if
@@ -165,14 +191,9 @@ def dll_register(
     """
     _check_registration_cloud(cloud)
     start = time.perf_counter()
-    pts = cloud.points
-    provider = df_residuals(grid, pts)
-    value_at_guess, _, inside = query_many(grid, apply_pose(guess, pts))
-    if not inside.any():
-        raise UnobservableCloudError(
-            f"all {len(cloud)} points fall outside the distance field at the initial guess"
-        )
-    x0 = guess
+    provider = df_residuals(grid, cloud.points)
+    coarse = None
+    x0, at_x0 = guess, None
     if loss.kind is LossKind.CAUCHY and coarse_scale > loss.scale:
         # The coarse pass only has to reach the right basin; a loose step
         # tolerance and a short iteration budget keep it cheap, polishing
@@ -181,21 +202,29 @@ def dll_register(
             opts,
             param_tolerance=max(opts.param_tolerance, 1e-2),
             max_iterations=min(opts.max_iterations, 15),
+            initial_damping=COARSE_INITIAL_DAMPING,
         )
-        pre = solve_lm(provider, guess, RobustLoss(LossKind.CAUCHY, coarse_scale), coarse_opts)
-        if pre.termination is not Termination.NUMERICAL_FAILURE:
-            cost_guess, _ = loss.cost_and_weights(value_at_guess)
-            pre_value, _, _ = query_many(grid, apply_pose(pre.final_params, pts))
-            cost_pre, _ = loss.cost_and_weights(pre_value)
+        coarse = solve_lm(provider, guess, RobustLoss(LossKind.CAUCHY, coarse_scale), coarse_opts)
+        at_x0 = coarse.initial_evaluation
+        if coarse.termination is not Termination.NUMERICAL_FAILURE:
+            cost_guess, _ = loss.cost_and_weights(at_x0[0])
+            cost_pre, _ = loss.cost_and_weights(coarse.final_evaluation[0])
             if cost_pre < cost_guess:
-                x0 = pre.final_params
-    report = solve_lm(provider, x0, loss, opts)
+                x0, at_x0 = coarse.final_params, coarse.final_evaluation
+    report = solve_lm(provider, x0, loss, opts, start=at_x0)
+    # Checked after the solves, from their evaluation at the guess: with no
+    # point inside, every residual is the same constant and the solves stop
+    # at once.
+    at_guess = (coarse if coarse is not None else report).initial_evaluation
+    if not at_guess.inside.any():
+        raise UnobservableCloudError(
+            f"all {len(cloud)} points fall outside the distance field at the initial guess"
+        )
     if report.termination is Termination.NUMERICAL_FAILURE:
         raise RegistrationError("solver reported a numerical failure")
-    _, _, inside = query_many(grid, apply_pose(report.final_params, pts))
     elapsed = time.perf_counter() - start
-    used = int(inside.sum())
-    return RegistrationResult(report.final_params, report, elapsed, used, len(cloud) - used)
+    used = int(report.final_evaluation.inside.sum())
+    return RegistrationResult(report.final_params, report, elapsed, used, len(cloud) - used, coarse)
 
 
 def align_4dof(source: np.ndarray, target: np.ndarray, weights: np.ndarray | None = None) -> Pose4:

@@ -8,13 +8,14 @@ normal equations: each iteration solves
 with w_i = rho'(r_i^2), accepts the step only if the robust cost drops,
 and scales the damping down on acceptance / up on rejection. The residual
 provider is any callable pose -> (r, J) returning finite residuals (N,)
-and Jacobians (N, 4).
+and Jacobians (N, 4). The report keeps the provider's outputs at the start
+and at the result, so a caller never has to evaluate either pose again.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -82,10 +83,19 @@ class RobustLoss:
 
 @dataclass(frozen=True)
 class SolverOptions:
+    """Iteration budget, stopping tolerances and damping schedule.
+
+    ``param_tolerance`` stops a solve once the largest step component
+    falls below it (meters or radians); 1e-4 is far below a field cell and
+    the scan noise. ``initial_damping`` is the starting lam: 0.1 damps the
+    first step of a solve that starts near its optimum, where an undamped
+    Gauss-Newton step tends to overshoot and be rejected.
+    """
+
     max_iterations: int = 50
-    param_tolerance: float = 1e-6
+    param_tolerance: float = 1e-4
     cost_tolerance: float = 1e-8
-    initial_damping: float = 1e-4
+    initial_damping: float = 0.1
     damping_increase: float = 10.0
     damping_decrease: float = 0.5
 
@@ -103,21 +113,30 @@ class SolverOptions:
 
 @dataclass(frozen=True)
 class SolveReport:
+    """Outcome of one solve.
+
+    ``evaluations`` counts the provider calls the solve made: every trial
+    step, accepted or rejected, plus the start unless it was handed in.
+    ``initial_evaluation`` and ``final_evaluation`` are the provider's
+    outputs at ``x0`` and at ``final_params``, as returned.
+    """
+
     final_params: Pose4
     initial_cost: float
     final_cost: float
     iterations: int
     converged: bool
     termination: Termination
+    evaluations: int
+    initial_evaluation: tuple | None = field(default=None, repr=False, compare=False)
+    final_evaluation: tuple | None = field(default=None, repr=False, compare=False)
 
 
-def _evaluate(residuals: ResidualProvider, x: np.ndarray, loss: RobustLoss):
-    pose = Pose4.from_array(x)
-    r, jac = residuals(pose)
-    r = np.asarray(r, dtype=np.float64)
-    jac = np.asarray(jac, dtype=np.float64)
+def _weigh(evaluation, loss: RobustLoss):
+    r = np.asarray(evaluation[0], dtype=np.float64)
+    jac = np.asarray(evaluation[1], dtype=np.float64)
     cost, w = loss.cost_and_weights(r)
-    return pose, r, jac, cost, w
+    return r, jac, cost, w
 
 
 def solve_lm(
@@ -125,18 +144,29 @@ def solve_lm(
     x0: Pose4,
     loss: RobustLoss = RobustLoss(),
     opts: SolverOptions = SolverOptions(),
+    start: tuple | None = None,
 ) -> SolveReport:
     """Run the damped iteration from ``x0`` until a tolerance or budget hits.
 
-    Accepted robust costs are strictly decreasing; yaw is re-wrapped after
-    every accepted step (Pose4 wraps on construction). Deterministic:
-    identical inputs produce a bitwise identical report.
+    ``start``, when given, is the provider's output at ``x0`` (for example
+    an earlier solve's ``final_evaluation``); the solve then does not
+    evaluate ``x0`` again. Accepted robust costs are strictly decreasing;
+    yaw is re-wrapped after every accepted step (Pose4 wraps on
+    construction). Deterministic: identical inputs produce a bitwise
+    identical report.
     """
     x = x0.as_array()
-    pose, r, jac, cost, w = _evaluate(residuals, x, loss)
+    pose = Pose4.from_array(x)
+    evaluations = 0
+    if start is None:
+        start = residuals(pose)
+        evaluations = 1
+    evaluation = start
+    r, jac, cost, w = _weigh(evaluation, loss)
     initial_cost = cost
     if not np.isfinite(cost):
-        return SolveReport(pose, initial_cost, cost, 0, False, Termination.NUMERICAL_FAILURE)
+        return SolveReport(pose, initial_cost, cost, 0, False, Termination.NUMERICAL_FAILURE,
+                           evaluations, start, evaluation)
 
     lam = opts.initial_damping
     iterations = 0
@@ -152,6 +182,10 @@ def solve_lm(
         damp_scale = np.maximum(np.diag(normal), 1e-12)
 
         step_done = False
+        # Set by a rejected step: the next step, shrunk by the raised
+        # damping, is tried even if it is below the tolerance, because its
+        # size then reflects lam more than the distance to the optimum.
+        try_small = False
         while not step_done:
             try:
                 delta = np.linalg.solve(normal + lam * np.diag(damp_scale), -gradient)
@@ -164,25 +198,30 @@ def solve_lm(
                     step_done = True
                 continue
 
-            if np.abs(delta).max() < opts.param_tolerance:
+            small = np.abs(delta).max() < opts.param_tolerance
+            if small and not try_small:
                 # The admissible step is below resolution: converged (this
-                # also catches a rejected-step spiral, where lam blows up
-                # and delta shrinks to nothing).
+                # also ends a rejected-step spiral, where lam blows up and
+                # delta shrinks to nothing).
                 termination = Termination.PARAM_TOL
                 step_done = True
                 continue
 
-            pose_new, r_new, jac_new, cost_new, w_new = _evaluate(residuals, x + delta, loss)
+            pose_new = Pose4.from_array(x + delta)
+            trial = residuals(pose_new)
+            evaluations += 1
+            r_new, jac_new, cost_new, w_new = _weigh(trial, loss)
             if np.isfinite(cost_new) and cost_new < cost:
                 drop = cost - cost_new
                 x = pose_new.as_array()
-                pose, r, jac, w = pose_new, r_new, jac_new, w_new
+                pose, evaluation, r, jac, w = pose_new, trial, r_new, jac_new, w_new
                 cost = cost_new
                 lam = max(lam * opts.damping_decrease, 1e-15)
                 if drop < opts.cost_tolerance * max(cost, 1e-300):
                     termination = Termination.COST_TOL
                 step_done = True
             else:
+                try_small = not small
                 lam *= opts.damping_increase
                 if lam > _MAX_DAMPING:
                     termination = Termination.NUMERICAL_FAILURE
@@ -192,4 +231,5 @@ def solve_lm(
             break
 
     converged = termination in (Termination.PARAM_TOL, Termination.COST_TOL)
-    return SolveReport(pose, initial_cost, cost, iterations, converged, termination)
+    return SolveReport(pose, initial_cost, cost, iterations, converged, termination,
+                       evaluations, start, evaluation)

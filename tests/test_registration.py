@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from dfloc.distance_field import build_grid, plan_grid
+from dfloc import distance_field, registration
+from dfloc.distance_field import build_grid, plan_grid, query_many
 from dfloc.geometry import (
     Attitude,
     Frame,
@@ -16,6 +17,7 @@ from dfloc.geometry import (
 )
 from dfloc.nnsearch import build_index
 from dfloc.registration import (
+    COARSE_INITIAL_DAMPING,
     IcpOptions,
     NoCorrespondencesError,
     UnobservableCloudError,
@@ -24,7 +26,7 @@ from dfloc.registration import (
     dll_register,
     icp_register,
 )
-from dfloc.solver import RobustLoss
+from dfloc.solver import LossKind, RobustLoss, SolverOptions
 from dfloc.synth import ScanModel, simulate_scan
 
 
@@ -250,3 +252,135 @@ def test_icp_counts_add_up(small_scene):
     body = _scan_at(small_scene, true, seed=45, noise=0.0)
     res = icp_register(body, index, true)
     assert res.points_used + res.points_out_of_map == len(body)
+
+
+def _forbid_query_many(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("dll_register called query_many")
+
+    monkeypatch.setattr(registration, "query_many", forbidden)
+    monkeypatch.setattr(distance_field, "query_many", forbidden)
+
+
+def _record_query_columns(monkeypatch) -> list:
+    calls = []
+    real = registration.query_columns
+
+    def spy(grid, qx, qy, qz):
+        calls.append(b"".join(np.ascontiguousarray(q).tobytes() for q in (qx, qy, qz)))
+        return real(grid, qx, qy, qz)
+
+    monkeypatch.setattr(registration, "query_columns", spy)
+    return calls
+
+
+@pytest.mark.parametrize("offset", [0.0, 0.3])
+def test_dll_evaluates_each_pose_once(monkeypatch, small_scene, small_grid, offset):
+    true = Pose4(3.0, 2.5, 1.2, 0.4)
+    body = _scan_at(small_scene, true, seed=46, noise=0.02)
+    guess = Pose4(true.tx + offset, true.ty - offset, true.tz + offset / 2, true.yaw + offset / 5)
+    _forbid_query_many(monkeypatch)
+    calls = _record_query_columns(monkeypatch)
+    res = dll_register(body, small_grid, guess)
+    assert res.coarse_report is not None
+    assert len(calls) == res.coarse_report.evaluations + res.report.evaluations
+    assert len(set(calls)) == len(calls), "a pose was evaluated twice"
+
+
+def test_dll_without_coarse_pass_counts_fine_evaluations(monkeypatch, small_scene, small_grid):
+    true = Pose4(3.0, 2.5, 1.2, 0.4)
+    body = _scan_at(small_scene, true, seed=47, noise=0.01)
+    _forbid_query_many(monkeypatch)
+    calls = _record_query_columns(monkeypatch)
+    res = dll_register(body, small_grid, Pose4(3.05, 2.45, 1.2, 0.41), RobustLoss(LossKind.NONE))
+    assert res.coarse_report is None
+    assert len(calls) == res.report.evaluations
+
+
+def test_dll_points_used_matches_field_query_at_result(small_scene, small_grid):
+    true = Pose4(3.0, 3.0, 1.5, 0.0)
+    body = _scan_at(small_scene, true, seed=48, noise=0.01)
+    pts = body.points.copy()
+    pts[::3] += 100.0
+    res = dll_register(PointCloud(pts, Frame.BODY), small_grid, Pose4(3.1, 2.9, 1.5, 0.02))
+    _, _, inside = query_many(small_grid, apply_pose(res.pose, pts))
+    assert res.points_used == int(inside.sum())
+    assert res.points_out_of_map == len(pts) - res.points_used
+
+
+def test_dll_result_exposes_both_passes(small_scene, small_grid):
+    true = Pose4(3.0, 2.8, 1.4, -0.6)
+    body = _scan_at(small_scene, true, seed=49, noise=0.02)
+    res = dll_register(body, small_grid, Pose4(3.4, 2.4, 1.7, -0.5))
+    for report in (res.coarse_report, res.report):
+        assert report.iterations >= 1
+        assert report.evaluations >= 1
+    # The fine pass starts from one of the coarse pass's evaluations.
+    coarse = res.coarse_report
+    assert any(res.report.initial_evaluation is e for e in (coarse.initial_evaluation, coarse.final_evaluation))
+
+
+@pytest.mark.parametrize("damping", [1e-4, 0.1, 10.0])
+def test_coarse_pass_damping_is_pinned(monkeypatch, small_scene, small_grid, damping):
+    true = Pose4(3.0, 2.5, 1.2, 0.4)
+    body = _scan_at(small_scene, true, seed=50)
+    seen = []
+    real = registration.solve_lm
+
+    def spy(provider, x0, loss, opts, **kwargs):
+        seen.append(opts.initial_damping)
+        return real(provider, x0, loss, opts, **kwargs)
+
+    monkeypatch.setattr(registration, "solve_lm", spy)
+    dll_register(body, small_grid, Pose4(3.2, 2.4, 1.3, 0.45), opts=SolverOptions(initial_damping=damping))
+    assert seen == [COARSE_INITIAL_DAMPING, damping]
+    assert COARSE_INITIAL_DAMPING == 1e-4
+
+
+def test_off_volume_points_get_the_largest_node_distance(small_scene, small_grid):
+    assert small_grid.max_distance == small_grid.node_distances.max()
+    true = Pose4(3.0, 3.0, 1.5, 0.0)
+    body = _scan_at(small_scene, true, seed=51, noise=0.01)
+    pts = body.points.copy()
+    pts[::2] += 100.0
+    r, jac = df_residuals(small_grid, pts)(true)
+    value, _, inside = query_many(small_grid, apply_pose(true, pts))
+    assert not inside[::2].any()
+    assert (r[~inside] == small_grid.max_distance).all()
+    assert (jac[~inside] == 0.0).all()
+    assert (value[~inside] == 0.0).all()  # the field query itself stays zero outside
+    assert np.array_equal(r[inside], value[inside])
+
+
+def test_leaving_the_map_never_lowers_the_cost(small_scene, small_grid):
+    true = Pose4(3.0, 3.0, 1.5, 0.0)
+    body = _scan_at(small_scene, true, seed=52, noise=0.02)
+    provider = df_residuals(small_grid, body.points)
+    loss = RobustLoss()
+    cost_true = loss.cost_and_weights(provider(true)[0])[0]
+    for dz in (-1.5, -3.0, 3.0, 100.0):
+        off = Pose4(true.tx, true.ty, true.tz + dz, true.yaw)
+        assert loss.cost_and_weights(provider(off)[0])[0] > cost_true
+
+
+def test_default_tolerance_lands_near_a_tight_solve(room_scene, room_grid):
+    # Criterion-4 style trials: stopping the fine pass at a 1e-4 step must
+    # leave every pose component within 2e-4 (m or rad) of where a 1e-10
+    # tolerance stops. Like param_tolerance, this is per component.
+    model = ScanModel(max_range=15.0, points=2000, noise_sigma=0.02)
+    tight = SolverOptions(param_tolerance=1e-10)
+    worst_t = worst_yaw = 0.0
+    for ss in np.random.SeedSequence(1234).spawn(100):
+        rng = np.random.default_rng(ss)
+        pose = Pose4(rng.uniform(2, 8), rng.uniform(2, 8), rng.uniform(1.5, 3.5),
+                     rng.uniform(-math.pi, math.pi))
+        scan = simulate_scan(room_scene, pose, Attitude.level(), model, seed=int(ss.generate_state(1)[0]))
+        body = tilt_compensate(scan, Attitude.level())
+        pert = rng.normal(0.0, [0.5, 0.5, 0.5, 0.1])
+        guess = Pose4(pose.tx + pert[0], pose.ty + pert[1], pose.tz + pert[2], pose.yaw + pert[3])
+        a = dll_register(body, room_grid, guess)
+        b = dll_register(body, room_grid, guess, opts=tight)
+        worst_t = max(worst_t, float(np.abs(a.pose.translation - b.pose.translation).max()))
+        worst_yaw = max(worst_yaw, abs(float(wrap_angle(a.pose.yaw - b.pose.yaw))))
+    assert worst_t <= 2e-4
+    assert worst_yaw <= 2e-4

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -85,10 +86,27 @@ def test_linear_problem_reaches_closed_form_quickly():
     x_star, *_ = np.linalg.lstsq(a, b, rcond=None)
     # closed-form comparison needs the wrap-free regime
     x_star[3] = math.remainder(x_star[3], 2 * math.pi)
-    opts = SolverOptions(param_tolerance=1e-13, cost_tolerance=1e-15, max_iterations=5)
+    # Started nearly undamped, LM is Gauss-Newton and solves a linear
+    # problem in one step. The default start (lam = 0.1) converges only
+    # linearly; see the next test.
+    opts = SolverOptions(param_tolerance=1e-13, cost_tolerance=1e-15, max_iterations=5,
+                         initial_damping=1e-4)
     report = solve_lm(linear_lsq(a, b), Pose4.identity(), RobustLoss(LossKind.NONE), opts)
     assert np.abs(report.final_params.as_array() - x_star).max() < 1e-8
     assert report.iterations <= 5
+
+
+def test_linear_problem_reaches_closed_form_from_default_damping():
+    rng = np.random.default_rng(20)
+    a = rng.normal(size=(12, 4))
+    b = rng.normal(size=12)
+    x_star, *_ = np.linalg.lstsq(a, b, rcond=None)
+    x_star[3] = math.remainder(x_star[3], 2 * math.pi)
+    opts = SolverOptions(param_tolerance=1e-13, cost_tolerance=1e-15)
+    report = solve_lm(linear_lsq(a, b), Pose4.identity(), RobustLoss(LossKind.NONE), opts)
+    assert report.converged
+    assert np.abs(report.final_params.as_array() - x_star).max() < 1e-8
+    assert report.iterations <= 12
 
 
 def test_accepted_costs_monotone():
@@ -172,3 +190,76 @@ def test_yaw_wrapped_after_steps():
 
     report = solve_lm(provider, Pose4(0, 0, 0, 3.0), RobustLoss(LossKind.NONE))
     assert -math.pi < report.final_params.yaw <= math.pi
+
+
+def _counting(provider):
+    calls = []
+
+    def counted(pose):
+        calls.append(pose)
+        return provider(pose)
+
+    return counted, calls
+
+
+def test_report_counts_evaluations_and_keeps_the_end_points():
+    rng = np.random.default_rng(7)
+    a = rng.normal(size=(30, 4))
+    b = rng.normal(size=30)
+    provider, calls = _counting(linear_lsq(a, b))
+    report = solve_lm(provider, Pose4(1, 1, 1, 1), RobustLoss(LossKind.CAUCHY, 0.3))
+    assert report.evaluations == len(calls)
+    assert calls[0] == Pose4(1, 1, 1, 1)
+    r0, _ = report.initial_evaluation
+    r1, _ = report.final_evaluation
+    assert np.array_equal(r0, linear_lsq(a, b)(Pose4(1, 1, 1, 1))[0])
+    assert np.array_equal(r1, linear_lsq(a, b)(report.final_params)[0])
+
+
+def test_start_evaluation_is_not_repeated():
+    rng = np.random.default_rng(8)
+    a = rng.normal(size=(30, 4))
+    b = rng.normal(size=30)
+    x0 = Pose4(0.5, -0.5, 0.2, 0.1)
+    loss = RobustLoss(LossKind.CAUCHY, 0.3)
+    plain = solve_lm(linear_lsq(a, b), x0, loss)
+    start = linear_lsq(a, b)(x0)
+    provider, calls = _counting(linear_lsq(a, b))
+    handed = solve_lm(provider, x0, loss, start=start)
+    assert x0 not in calls
+    assert handed.evaluations == len(calls) == plain.evaluations - 1
+    assert handed.initial_evaluation is start
+    assert replace(handed, evaluations=plain.evaluations) == plain
+
+
+def test_sub_tolerance_step_after_a_rejection_is_tried():
+    # The provider underestimates its slope tenfold, so the first steps
+    # overshoot and are rejected. Once the damping has grown enough, the
+    # step is below the tolerance while the start is still 5e-5 off: that
+    # step is tried (and accepted) instead of ending the solve at x0.
+    def provider(pose):
+        return np.array([pose.tx - 1.0]), np.array([[0.1, 0.0, 0.0, 0.0]])
+
+    x0 = Pose4(1.0 - 5e-5, 0.0, 0.0, 0.0)
+    opts = SolverOptions(param_tolerance=1e-4, initial_damping=0.1)
+    report = solve_lm(provider, x0, RobustLoss(LossKind.NONE), opts)
+    assert report.termination is Termination.PARAM_TOL
+    # x0, the rejected steps at lam = 0.1 and 1, the accepted one at lam = 10.
+    assert report.evaluations == 4
+    assert abs(report.final_params.tx - 1.0) < 1e-5
+
+
+def test_rejected_step_spiral_still_ends():
+    # A Jacobian of the wrong sign makes every step uphill. One step below
+    # the tolerance is tried after the rejections; the next one ends the
+    # solve, long before the damping limit.
+    def provider(pose):
+        return np.array([pose.tx - 1.0]), np.array([[-1.0, 0.0, 0.0, 0.0]])
+
+    opts = SolverOptions(param_tolerance=1e-4, initial_damping=1e-4)
+    report = solve_lm(provider, Pose4.identity(), RobustLoss(LossKind.NONE), opts)
+    assert report.termination is Termination.PARAM_TOL
+    assert report.final_params == Pose4.identity()
+    # x0, the 8 rejected steps of 1 / (1 + lam) for lam = 1e-4 ... 1e3,
+    # and the one rejected sub-tolerance step at lam = 1e4.
+    assert report.evaluations == 10

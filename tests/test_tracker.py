@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dfloc import tracker
+from dfloc import bench, tracker
 from dfloc.geometry import Attitude, Frame, OdomDelta, PointCloud, Pose4, compose, tilt_compensate
 from dfloc.nnsearch import build_index
 from dfloc.registration import icp_register
@@ -147,3 +147,20 @@ def test_track_step_resolves_dll_register_per_call(monkeypatch, small_scene, sma
     frame = scenario.frames[1]
     track_step(init_tracker(start), frame, small_grid)
     assert guesses == [compose(start, frame.odom)]
+
+
+@pytest.fixture(scope="module")
+def largenoise_scenario(small_scene):
+    return make_scenario(small_scene, 60, 0.15, ScanModel(15.0, 2000, 0.02), NoiseSetup(0.02, 0.005), seed=1)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+def test_largenoise_tracking_keeps_the_scan_on_the_map(small_grid, largenoise_scenario, seed):
+    # If off-volume points cost nothing, the solver can lower the cost by
+    # pushing the scan out of the grid. On this scenario that made seed 1
+    # diverge at step 39 (a fine solve "converged" at tz = -1.26 m, below
+    # the grid) and left seeds 2-5 at rmse_t 0.13-0.26 m instead of 0.0016 m.
+    run = bench.run_tracking(largenoise_scenario, "dll", "largenoise", grid=small_grid, seed=seed)
+    row = bench.bench_row(run, largenoise_scenario)
+    assert not run.diverged, f"diverged at step {run.divergence_step}"
+    assert row.rmse_t < 0.005
