@@ -20,6 +20,7 @@ cost.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -76,12 +77,12 @@ class GridSpec:
             raise ValueError("grid origin must be finite")
         origin.setflags(write=False)
         object.__setattr__(self, "origin", origin)
-        if not self.resolution > 0.0:
-            raise ValueError(f"resolution must be positive, got {self.resolution}")
+        if not 0.0 < self.resolution < math.inf:
+            raise ValueError(f"resolution must be positive and finite, got {self.resolution}")
         if min(self.nx, self.ny, self.nz) < 2:
             raise ValueError("grids need at least 2 cells per axis")
-        if self.margin < 0.0:
-            raise ValueError(f"margin must be non-negative, got {self.margin}")
+        if not 0.0 <= self.margin < math.inf:
+            raise ValueError(f"margin must be non-negative and finite, got {self.margin}")
 
     @property
     def counts(self) -> np.ndarray:
@@ -357,12 +358,12 @@ def load_grid(path) -> DfGrid:
         n_cells = nx * ny * nz
         if n_nodes > MAX_NODES:
             raise GridDimensionError(f"{path}: header counts {(nx, ny, nz)} exceed the supported size")
-        payload = fh.read()
-    expected = 8 * (n_nodes + 8 * n_cells)
+        expected = 8 * (n_nodes + 8 * n_cells)
+        # One byte past the expected size tells a long file from an exact one.
+        payload = fh.read(expected + 1)
     if len(payload) != expected:
-        raise GridTruncatedError(
-            f"{path}: payload is {len(payload)} bytes, header implies {expected}"
-        )
+        found = f"{len(payload)} bytes" if len(payload) < expected else "longer"
+        raise GridTruncatedError(f"{path}: payload is {found}, header implies {expected} bytes")
     nodes = np.frombuffer(payload, dtype="<f8", count=n_nodes).reshape(nx + 1, ny + 1, nz + 1)
     coeffs = np.frombuffer(payload, dtype="<f8", offset=8 * n_nodes).reshape(nx, ny, nz, 8)
     try:

@@ -161,10 +161,6 @@ def _check_registration_cloud(cloud: PointCloud) -> None:
 
 
 COARSE_CAUCHY_SCALE = 1.0
-# The coarse pass starts nearly undamped, whatever SolverOptions says
-# (that sets the fine pass), so that its first steps toward the basin are
-# long ones.
-COARSE_INITIAL_DAMPING = 1e-4
 
 
 def dll_register(
@@ -173,17 +169,18 @@ def dll_register(
     guess: Pose4,
     loss: RobustLoss = RobustLoss(),
     opts: SolverOptions = SolverOptions(),
-    coarse_scale: float = COARSE_CAUCHY_SCALE,
 ) -> RegistrationResult:
     """Refine ``guess`` by minimizing the robust distance-field objective.
 
     With a narrow Cauchy kernel the robust cost flattens around guesses
     more than a few kernel widths off, so the refinement is scheduled
-    coarse-to-fine: one pass with the kernel widened to ``coarse_scale``,
-    then the configured loss, started from whichever of the guess and the
-    coarse result scores better under the final loss. The returned cost
-    therefore never exceeds the cost at the guess. Each pose is evaluated
-    once: the fine pass starts from the coarse pass's own evaluation.
+    coarse-to-fine: one pass with the kernel widened to
+    ``COARSE_CAUCHY_SCALE`` (1.0), then the configured loss, started from
+    whichever of the guess and the coarse result scores better under the
+    final loss. The returned cost therefore never exceeds the cost at the
+    guess. Both passes run under ``opts``; the coarse pass only loosens
+    the step tolerance to at least 1e-2. Each pose is evaluated once: the
+    fine pass starts from the coarse pass's own evaluation.
 
     Raises UnobservableCloudError when no point lands inside the grid at
     the guess (the pose is unconstrained there), and RegistrationError if
@@ -194,17 +191,11 @@ def dll_register(
     provider = df_residuals(grid, cloud.points)
     coarse = None
     x0, at_x0 = guess, None
-    if loss.kind is LossKind.CAUCHY and coarse_scale > loss.scale:
+    if loss.kind is LossKind.CAUCHY and COARSE_CAUCHY_SCALE > loss.scale:
         # The coarse pass only has to reach the right basin; a loose step
-        # tolerance and a short iteration budget keep it cheap, polishing
-        # is the fine pass's job.
-        coarse_opts = replace(
-            opts,
-            param_tolerance=max(opts.param_tolerance, 1e-2),
-            max_iterations=min(opts.max_iterations, 15),
-            initial_damping=COARSE_INITIAL_DAMPING,
-        )
-        coarse = solve_lm(provider, guess, RobustLoss(LossKind.CAUCHY, coarse_scale), coarse_opts)
+        # tolerance keeps it cheap, polishing is the fine pass's job.
+        coarse_opts = replace(opts, param_tolerance=max(opts.param_tolerance, 1e-2))
+        coarse = solve_lm(provider, guess, RobustLoss(LossKind.CAUCHY, COARSE_CAUCHY_SCALE), coarse_opts)
         at_x0 = coarse.initial_evaluation
         if coarse.termination is not Termination.NUMERICAL_FAILURE:
             cost_guess, _ = loss.cost_and_weights(at_x0[0])

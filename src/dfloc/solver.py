@@ -89,7 +89,10 @@ class SolverOptions:
     falls below it (meters or radians); 1e-4 is far below a field cell and
     the scan noise. ``initial_damping`` is the starting lam: 0.1 damps the
     first step of a solve that starts near its optimum, where an undamped
-    Gauss-Newton step tends to overshoot and be rejected.
+    Gauss-Newton step tends to overshoot and be rejected. ``dll_register``
+    runs both of its passes under these options; its coarse pass only
+    loosens the step tolerance to at least 1e-2 and widens the Cauchy
+    kernel to 1.0.
     """
 
     max_iterations: int = 50

@@ -327,6 +327,43 @@ def test_load_rejects_non_finite_coefficient(tmp_path, small_grid):
         load_grid(path)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("resolution", math.inf), ("margin", math.nan), ("margin", math.inf)],
+)
+def test_load_rejects_non_finite_header_scalar(tmp_path, small_grid, field, value):
+    # Header layout: version u32, origin 3 x f64, resolution f64, margin f64.
+    offset = struct.calcsize("<I3d") if field == "resolution" else struct.calcsize("<I3dd")
+    path = tmp_path / "header.df"
+    save_grid(small_grid, path)
+    raw = bytearray(path.read_bytes())
+    struct.pack_into("<d", raw, len(GRID_MAGIC) + offset, value)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(GridFileError, match=field):
+        load_grid(path)
+
+
+def test_plan_grid_rejects_infinite_resolution():
+    with pytest.raises(ValueError, match="resolution"):
+        plan_grid(UNIT_CUBE, math.inf)
+
+
+def test_load_reads_no_more_than_the_header_implies(tmp_path):
+    # Trailing bytes are read only as far as needed to see they are there.
+    path = tmp_path / "trailing.df"
+    save_grid(build_grid(UNIT_CUBE, plan_grid(UNIT_CUBE, 0.5, 0.0)), path)
+    with open(path, "r+b") as fh:
+        fh.truncate(path.stat().st_size + (64 << 20))
+    tracemalloc.start()
+    try:
+        with pytest.raises(GridTruncatedError):
+            load_grid(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, f"peak {peak / 2**20:.1f} MiB"
+
+
 def test_load_rejects_dimension_overflow(tmp_path, small_grid):
     path = tmp_path / "dims.df"
     save_grid(small_grid, path)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from dfloc.geometry import (
 )
 from dfloc.nnsearch import build_index
 from dfloc.registration import (
-    COARSE_INITIAL_DAMPING,
     IcpOptions,
     NoCorrespondencesError,
     UnobservableCloudError,
@@ -320,21 +320,26 @@ def test_dll_result_exposes_both_passes(small_scene, small_grid):
     assert any(res.report.initial_evaluation is e for e in (coarse.initial_evaluation, coarse.final_evaluation))
 
 
+@pytest.mark.parametrize("max_iterations", [5, 50])
 @pytest.mark.parametrize("damping", [1e-4, 0.1, 10.0])
-def test_coarse_pass_damping_is_pinned(monkeypatch, small_scene, small_grid, damping):
+def test_coarse_pass_takes_the_caller_options_with_a_loose_stop(
+    monkeypatch, small_scene, small_grid, damping, max_iterations
+):
     true = Pose4(3.0, 2.5, 1.2, 0.4)
     body = _scan_at(small_scene, true, seed=50)
     seen = []
     real = registration.solve_lm
 
     def spy(provider, x0, loss, opts, **kwargs):
-        seen.append(opts.initial_damping)
+        seen.append(opts)
         return real(provider, x0, loss, opts, **kwargs)
 
     monkeypatch.setattr(registration, "solve_lm", spy)
-    dll_register(body, small_grid, Pose4(3.2, 2.4, 1.3, 0.45), opts=SolverOptions(initial_damping=damping))
-    assert seen == [COARSE_INITIAL_DAMPING, damping]
-    assert COARSE_INITIAL_DAMPING == 1e-4
+    opts = SolverOptions(initial_damping=damping, max_iterations=max_iterations)
+    dll_register(body, small_grid, Pose4(3.2, 2.4, 1.3, 0.45), opts=opts)
+    coarse, fine = seen
+    assert coarse == replace(opts, param_tolerance=max(opts.param_tolerance, 1e-2))
+    assert fine is opts
 
 
 def test_off_volume_points_get_the_largest_node_distance(small_scene, small_grid):

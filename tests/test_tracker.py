@@ -164,3 +164,24 @@ def test_largenoise_tracking_keeps_the_scan_on_the_map(small_grid, largenoise_sc
     row = bench.bench_row(run, largenoise_scenario)
     assert not run.diverged, f"diverged at step {run.divergence_step}"
     assert row.rmse_t < 0.005
+
+
+def test_dll_tracking_stays_within_an_evaluation_budget(monkeypatch, small_grid, largenoise_scenario):
+    # Mean coarse-plus-fine field evaluations per scan over all four odometry
+    # modes: 18.78 while the coarse pass ran under solver options of its own
+    # (start damping pinned at 1e-4, at most 15 iterations), 15.75 since it
+    # takes the caller's options with only the step tolerance loosened.
+    evaluations = []
+    real = bench.dll_register
+
+    def spy(*args, **kwargs):
+        res = real(*args, **kwargs)
+        coarse = res.coarse_report.evaluations if res.coarse_report is not None else 0
+        evaluations.append(coarse + res.report.evaluations)
+        return res
+
+    monkeypatch.setattr(bench, "dll_register", spy)
+    for mode in bench.MODES:
+        run = bench.run_tracking(largenoise_scenario, "dll", mode, grid=small_grid, seed=0)
+        assert not run.diverged, f"{mode} diverged at step {run.divergence_step}"
+    assert np.mean(evaluations) <= 17.0, f"{np.mean(evaluations):.2f} evaluations per scan"
