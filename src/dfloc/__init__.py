@@ -28,7 +28,6 @@ from .geometry import (
     Pose4,
     apply_pose,
     compose,
-    d_rotate_z_dyaw,
     pose_delta,
     rotate_z,
     tilt_compensate,

@@ -9,6 +9,7 @@ seed). Set DFLOC_LOG=debug|info|warning for log verbosity.
 from __future__ import annotations
 
 import argparse
+import inspect
 import logging
 import math
 import os
@@ -211,10 +212,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("build-df", help="precompute a distance-field grid from a map cloud")
     p.add_argument("--map", required=True, help="map point cloud (xyz text or binary)")
-    grid_defaults = formats.GridOptions()
-    p.add_argument("--resolution", type=float, default=grid_defaults.resolution, help="cell edge in meters")
+    plan = inspect.signature(plan_grid).parameters
+    p.add_argument("--resolution", type=float, default=plan["resolution"].default, help="cell edge in meters")
     p.add_argument(
-        "--margin", type=float, default=grid_defaults.margin, help="padding beyond the map bounding box"
+        "--margin", type=float, default=plan["margin"].default, help="padding beyond the map bounding box"
     )
     p.add_argument("--out", required=True, help="output .df path")
     p.set_defaults(fn=cmd_build_df)

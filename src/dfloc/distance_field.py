@@ -21,8 +21,9 @@ cost.
 from __future__ import annotations
 
 import math
+import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -32,7 +33,7 @@ from .nnsearch import FIELD_LEAF_SIZE, build_index
 GRID_MAGIC = b"DFGRID1\n"
 GRID_VERSION = 1
 
-# Refuse headers implying more lattice nodes than this (corrupt or hostile files).
+# Largest lattice, in nodes, that a grid may have when planned or loaded.
 MAX_NODES = 1 << 33
 
 # Lattice nodes per build slab (whole x planes, at least one). The build's
@@ -57,7 +58,7 @@ class GridTruncatedError(GridFileError):
 
 
 class GridDimensionError(GridFileError):
-    """Header cell counts are invalid or exceed the supported size."""
+    """GridSpec cell counts below 2 per axis or above ``MAX_NODES`` lattice nodes."""
 
 
 @dataclass(frozen=True)
@@ -72,17 +73,20 @@ class GridSpec:
     margin: float = 0.0
 
     def __post_init__(self):
+        if not 0.0 < self.resolution < math.inf:
+            raise ValueError(f"resolution must be positive and finite, got {self.resolution}")
+        if not 0.0 <= self.margin < math.inf:
+            raise ValueError(f"margin must be non-negative and finite, got {self.margin}")
         origin = np.asarray(self.origin, dtype=np.float64).reshape(3).copy()
         if not np.isfinite(origin).all():
             raise ValueError("grid origin must be finite")
         origin.setflags(write=False)
         object.__setattr__(self, "origin", origin)
-        if not 0.0 < self.resolution < math.inf:
-            raise ValueError(f"resolution must be positive and finite, got {self.resolution}")
-        if min(self.nx, self.ny, self.nz) < 2:
-            raise ValueError("grids need at least 2 cells per axis")
-        if not 0.0 <= self.margin < math.inf:
-            raise ValueError(f"margin must be non-negative and finite, got {self.margin}")
+        counts = (self.nx, self.ny, self.nz)
+        if min(counts) < 2:
+            raise GridDimensionError(f"grids need at least 2 cells per axis, got {counts}")
+        if math.prod(int(n) + 1 for n in counts) > MAX_NODES:
+            raise GridDimensionError(f"cell counts {counts} exceed the supported {MAX_NODES} nodes")
 
     @property
     def counts(self) -> np.ndarray:
@@ -157,26 +161,24 @@ class DfGrid:
         object.__setattr__(self, "max_distance", float(nodes.max()))
 
 
-def plan_grid(cloud: PointCloud, resolution: float, margin: float = 1.0) -> GridSpec:
+def plan_grid(cloud: PointCloud, resolution: float = 0.05, margin: float = 1.0) -> GridSpec:
     """Choose a grid covering the map bounding box plus ``margin`` on every side.
 
     The origin is the padded bounding-box minimum; cell counts are the
     smallest that cover the padded box, never below 2 per axis (a
-    degenerate single-point map still yields a valid 2x2x2 grid).
+    degenerate single-point map still yields a valid 2x2x2 grid). The
+    defaults are those of ``dfloc build-df``.
     """
     if len(cloud) == 0:
         raise ValueError("cannot plan a grid for an empty map")
-    if not resolution > 0.0:
-        raise ValueError(f"resolution must be positive, got {resolution}")
-    if margin < 0.0:
-        raise ValueError(f"margin must be non-negative, got {margin}")
     lo = cloud.points.min(axis=0) - margin
     hi = cloud.points.max(axis=0) + margin
-    span = hi - lo
+    # The smallest spec checks resolution and margin before they divide.
+    spec = GridSpec(lo, float(resolution), 2, 2, 2, float(margin))
     # The 1e-9 slack keeps exact tilings (span an integer multiple of the
     # resolution) from picking up a spurious extra cell.
-    counts = np.maximum(2, np.ceil(span / resolution - 1e-9).astype(int))
-    return GridSpec(lo, float(resolution), int(counts[0]), int(counts[1]), int(counts[2]), float(margin))
+    nx, ny, nz = (int(n) for n in np.maximum(2.0, np.ceil((hi - lo) / spec.resolution - 1e-9)))
+    return replace(spec, nx=nx, ny=ny, nz=nz)
 
 
 def fit_cell_coeffs(corner_distances, resolution: float) -> np.ndarray:
@@ -261,7 +263,9 @@ def query_many(grid: DfGrid, pts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     grad[..., 1] = gy
     grad[..., 2] = gz
     if not inside.all():
-        grad[~inside] = 0.0
+        outside = ~inside
+        value[outside] = 0.0
+        grad[outside] = 0.0
     return value, grad, inside
 
 
@@ -270,9 +274,10 @@ def query_columns(grid: DfGrid, qx, qy, qz):
 
     This is the hot path shared by query_many and the registration
     residuals; it works on 1D coordinate arrays to avoid (N, 3)
-    intermediates and axis reductions. ``value`` is zeroed outside the
-    volume; the returned gradient columns are NOT masked (query_many
-    masks them when packing the (N, 3) gradient).
+    intermediates and axis reductions. No column is masked: outside the
+    volume they hold the extrapolated polynomial of the nearest cell, and
+    each caller applies its own off-volume policy from ``inside``
+    (query_many: 0; registration residuals: ``max_distance``).
     """
     spec = grid.spec
     res = spec.resolution
@@ -299,8 +304,6 @@ def query_columns(grid: DfGrid, qx, qy, qz):
     value = c0 + c1 * x + y * t2 + z * gz
     gy = t2 + z * t4
     gx = c1 + y * c4 + z * (c5 + y * c7)
-    if not inside.all():
-        value = np.where(inside, value, 0.0)
     return value, gx, gy, gz, inside
 
 
@@ -339,7 +342,8 @@ def load_grid(path) -> DfGrid:
     """Read a grid written by save_grid; the round trip is bit-exact.
 
     Raises GridMagicError, GridVersionError, GridDimensionError or
-    GridTruncatedError for the corresponding malformed inputs.
+    GridTruncatedError for the corresponding malformed inputs, before
+    reading the payload, and GridFileError for any other invalid content.
     """
     with open(path, "rb") as fh:
         head = fh.read(_HEADER_SIZE)
@@ -352,22 +356,22 @@ def load_grid(path) -> DfGrid:
         )
         if version != GRID_VERSION:
             raise GridVersionError(f"{path}: unsupported grid version {version}")
-        if min(nx, ny, nz) < 2:
-            raise GridDimensionError(f"{path}: invalid cell counts {(nx, ny, nz)}")
+        try:
+            spec = GridSpec(np.array([ox, oy, oz]), resolution, nx, ny, nz, margin)
+        except ValueError as exc:
+            error = GridDimensionError if isinstance(exc, GridDimensionError) else GridFileError
+            raise error(f"{path}: {exc}") from exc
         n_nodes = (nx + 1) * (ny + 1) * (nz + 1)
-        n_cells = nx * ny * nz
-        if n_nodes > MAX_NODES:
-            raise GridDimensionError(f"{path}: header counts {(nx, ny, nz)} exceed the supported size")
-        expected = 8 * (n_nodes + 8 * n_cells)
-        # One byte past the expected size tells a long file from an exact one.
-        payload = fh.read(expected + 1)
-    if len(payload) != expected:
-        found = f"{len(payload)} bytes" if len(payload) < expected else "longer"
-        raise GridTruncatedError(f"{path}: payload is {found}, header implies {expected} bytes")
+        expected = 8 * (n_nodes + 8 * nx * ny * nz)
+        found = os.fstat(fh.fileno()).st_size - _HEADER_SIZE
+        if found != expected:
+            raise GridTruncatedError(f"{path}: payload is {found} bytes, header implies {expected} bytes")
+        payload = fh.read(expected)
+    if len(payload) != expected:  # the file shrank since fstat
+        raise GridTruncatedError(f"{path}: payload is {len(payload)} bytes, header implies {expected} bytes")
     nodes = np.frombuffer(payload, dtype="<f8", count=n_nodes).reshape(nx + 1, ny + 1, nz + 1)
     coeffs = np.frombuffer(payload, dtype="<f8", offset=8 * n_nodes).reshape(nx, ny, nz, 8)
     try:
-        spec = GridSpec(np.array([ox, oy, oz]), resolution, nx, ny, nz, margin)
         return DfGrid(spec, nodes, coeffs)
     except ValueError as exc:
         raise GridFileError(f"{path}: {exc}") from exc

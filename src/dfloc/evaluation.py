@@ -100,11 +100,9 @@ def write_timing(rows, path) -> None:
             fh.write(f"{r.method},{r.mode},{_cell(r.dt_mean)},{_cell(r.dt_dev)}\n")
 
 
-def estimate_rows(timestamps, poses, attitudes=None) -> list[TrajectoryRow]:
-    """Package tracker output as trajectory rows tagged 'estimate'."""
-    rows = []
-    for k, (t, p) in enumerate(zip(timestamps, poses)):
-        roll = attitudes[k].roll if attitudes is not None else 0.0
-        pitch = attitudes[k].pitch if attitudes is not None else 0.0
-        rows.append(TrajectoryRow(t, p.tx, p.ty, p.tz, roll, pitch, p.yaw, TrajectorySource.ESTIMATE))
-    return rows
+def estimate_rows(timestamps, poses, attitudes) -> list[TrajectoryRow]:
+    """Package tracker output, with each frame's IMU attitude, as rows tagged 'estimate'."""
+    return [
+        TrajectoryRow(t, p.tx, p.ty, p.tz, a.roll, a.pitch, p.yaw, TrajectorySource.ESTIMATE)
+        for t, p, a in zip(timestamps, poses, attitudes)
+    ]

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 import math
+import os
 import struct
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -58,25 +59,32 @@ def read_cloud(path, frame: Frame = Frame.MAP) -> PointCloud:
 
     The binary variant is detected by its magic bytes; anything else is
     parsed as text with one ``x y z`` triple per line and ``#`` comments.
+    A binary file's size is checked against its header before the points are read.
     """
     path = Path(path)
-    raw = path.read_bytes()
-    if raw[: len(CLOUD_MAGIC)] == CLOUD_MAGIC:
-        return _read_cloud_binary(raw, path, frame)
+    with open(path, "rb") as fh:
+        magic = fh.read(len(CLOUD_MAGIC))
+        if magic == CLOUD_MAGIC:
+            return _read_cloud_binary(fh, path, frame)
+        raw = magic + fh.read()
     return _read_cloud_text(raw, path, frame)
 
 
-def _read_cloud_binary(raw: bytes, path: Path, frame: Frame) -> PointCloud:
-    header_size = len(CLOUD_MAGIC) + 8
-    if len(raw) < header_size:
+def _read_cloud_binary(fh, path: Path, frame: Frame) -> PointCloud:
+    head = fh.read(8)
+    if len(head) < 8:
         raise CloudFormatError(f"{path}: binary cloud header truncated")
-    (count,) = struct.unpack_from("<Q", raw, len(CLOUD_MAGIC))
+    (count,) = struct.unpack("<Q", head)
     if count == 0:
         raise EmptyCloudError(f"{path}: cloud contains no points")
-    expected = header_size + 12 * count
-    if len(raw) != expected:
-        raise CloudFormatError(f"{path}: file is {len(raw)} bytes, header implies {expected}")
-    pts = np.frombuffer(raw, dtype="<f4", offset=header_size).reshape(count, 3)
+    expected = len(CLOUD_MAGIC) + 8 + 12 * count
+    size = os.fstat(fh.fileno()).st_size
+    if size != expected:
+        raise CloudFormatError(f"{path}: file is {size} bytes, header implies {expected}")
+    raw = fh.read(12 * count)
+    if len(raw) != 12 * count:  # the file shrank since fstat
+        raise CloudFormatError(f"{path}: point data is {len(raw)} bytes, header implies {12 * count}")
+    pts = np.frombuffer(raw, dtype="<f4").reshape(count, 3)
     if not np.isfinite(pts).all():
         raise CloudValueError(f"{path}: binary cloud contains non-finite coordinates")
     return PointCloud(pts.astype(np.float64), frame)
@@ -195,18 +203,6 @@ def read_trajectory(path) -> list[TrajectoryRow]:
 
 
 @dataclass(frozen=True)
-class GridOptions:
-    resolution: float = 0.05
-    margin: float = 1.0
-
-    def __post_init__(self):
-        if not self.resolution > 0.0:
-            raise ValueError("resolution must be positive")
-        if not self.margin >= 0.0:
-            raise ValueError("margin must be non-negative")
-
-
-@dataclass(frozen=True)
 class SimOptions:
     """Scene / trajectory / scan generation parameters for `simulate`."""
 
@@ -230,8 +226,8 @@ class SimOptions:
 
 @dataclass(frozen=True)
 class RunConfig:
-    map_path: str | None = None
-    grid: GridOptions = field(default_factory=GridOptions)
+    """Settings read by simulate, localize and benchmark; grid settings are build-df flags."""
+
     loss: RobustLoss = field(default_factory=RobustLoss)
     solver: SolverOptions = field(default_factory=SolverOptions)
     icp: IcpOptions = field(default_factory=IcpOptions)
@@ -243,9 +239,6 @@ class RunConfig:
 # Config key -> attribute path in RunConfig. Defaults and constraints live
 # on the option dataclasses; a value is parsed by the type of its default.
 CONFIG_KEYS = {
-    "map": "map_path",
-    "grid.resolution": "grid.resolution",
-    "grid.margin": "grid.margin",
     "loss.kind": "loss.kind",
     "loss.scale": "loss.scale",
     "solver.max_iterations": "solver.max_iterations",
@@ -275,8 +268,6 @@ CONFIG_KEYS = {
 
 
 def _parse_like(text: str, default):
-    if default is None:
-        return text
     if type(default) is int:
         return int(text, 0)
     return type(default)(text)

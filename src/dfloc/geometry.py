@@ -170,17 +170,6 @@ def rotate_z(yaw: float, p) -> np.ndarray:
     return out
 
 
-def d_rotate_z_dyaw(yaw: float, p) -> np.ndarray:
-    """Partial derivative of rotate_z with respect to yaw, evaluated at (yaw, p)."""
-    p = np.asarray(p, dtype=np.float64)
-    c, s = math.cos(yaw), math.sin(yaw)
-    out = np.empty_like(p)
-    out[..., 0] = -s * p[..., 0] - c * p[..., 1]
-    out[..., 1] = c * p[..., 0] - s * p[..., 1]
-    out[..., 2] = 0.0
-    return out
-
-
 def apply_pose(pose: Pose4, p) -> np.ndarray:
     """Map body-frame point(s) into the map frame: R_z(yaw) @ p + t."""
     out = rotate_z(pose.yaw, p)

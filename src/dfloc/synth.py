@@ -109,6 +109,8 @@ class ScenarioRun:
         if len(self.ground_truth) != len(self.frames):
             raise ValueError("ground truth and frames must have equal length")
         times = [f.timestamp for f in self.frames]
+        if not all(math.isfinite(t) for t in times):
+            raise ValueError("frame timestamps must be finite")
         if any(t1 >= t2 for t1, t2 in zip(times, times[1:])):
             raise ValueError("frame timestamps must be strictly increasing")
         object.__setattr__(self, "ground_truth", tuple(self.ground_truth))

@@ -261,7 +261,7 @@ def test_criterion_8_benchmark_determinism(tmp_path):
     cfg.write_text(
         "scene.extent = 6.0\nscene.density = 40\ntrajectory.steps = 6\n"
         "trajectory.step_length = 0.2\nscan.points = 300\nscan.max_range = 8\n"
-        "grid.resolution = 0.2\nseed = 7\n"
+        "seed = 7\n"
     )
     assert cli_main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "scn")]) == 0
     assert cli_main([
@@ -361,9 +361,9 @@ def test_criterion_9_round_trips_and_errors(tmp_path, small_grid):
     with pytest.raises(ConfigError):
         config_from_dict({"no.such.key": "1"})
     with pytest.raises(ConfigError):
-        config_from_dict({"grid.resolution": "fast"})
+        config_from_dict({"loss.scale": "fast"})
     with pytest.raises(ConfigError):
-        config_from_dict({"grid.resolution": "-0.1"})
+        config_from_dict({"loss.scale": "-0.1"})
     return f"trajectory round trip max err {worst:.1e}"
 
 

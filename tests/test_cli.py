@@ -12,7 +12,6 @@ trajectory.step_length = 0.2
 scan.points = 300
 scan.max_range = 8
 scan.noise_sigma = 0.01
-grid.resolution = 0.2
 seed = 7
 """
 
@@ -152,7 +151,6 @@ def test_shipped_example_config_end_to_end(tmp_path):
         "trajectory.steps": "5",
         "scan.points": "300",
         "scene.density": "40.0",
-        "grid.resolution": "0.2",
     }
     lines = []
     for line in shipped.read_text().splitlines():

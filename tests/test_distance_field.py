@@ -364,6 +364,26 @@ def test_load_reads_no_more_than_the_header_implies(tmp_path):
     assert peak < 1 << 20, f"peak {peak / 2**20:.1f} MiB"
 
 
+def test_load_refuses_a_payload_larger_than_the_file(tmp_path):
+    # 140 bytes whose header claims 1999^3 cells: within MAX_NODES, but the
+    # payload it implies is about 575 GB, so no read may be sized by it.
+    path = tmp_path / "huge.df"
+    header = GRID_MAGIC + struct.pack("<I3ddd3Q", 1, 0.0, 0.0, 0.0, 0.1, 0.0, 1999, 1999, 1999)
+    path.write_bytes(header.ljust(140, b"\0"))
+    with pytest.raises(GridTruncatedError, match="header implies"):
+        load_grid(path)
+
+
+@pytest.mark.parametrize("resolution", [0.004, 1e-20])
+def test_plan_grid_refuses_more_than_max_nodes(resolution):
+    # A 10 x 10 x 5 m map with a 1 m margin at 4 mm needs 3000 x 3000 x 1750
+    # cells: 15.8 G nodes, about 1.1 TB of arrays. At 1e-20 m the counts do
+    # not fit in int64.
+    corners = PointCloud(np.array([[0.0, 0.0, 0.0], [10.0, 10.0, 5.0]]), Frame.MAP)
+    with pytest.raises(GridDimensionError, match="exceed"):
+        plan_grid(corners, resolution, margin=1.0)
+
+
 def test_load_rejects_dimension_overflow(tmp_path, small_grid):
     path = tmp_path / "dims.df"
     save_grid(small_grid, path)

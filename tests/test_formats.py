@@ -1,12 +1,15 @@
 import enum
 import math
 import re
+import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dfloc.formats import (
+    CLOUD_MAGIC,
     CONFIG_KEYS,
     CloudFormatError,
     CloudParseError,
@@ -93,6 +96,28 @@ def test_cloud_binary_truncated(tmp_path):
         read_cloud(path)
 
 
+def test_read_cloud_reads_no_more_than_the_header_implies(tmp_path):
+    path = tmp_path / "trailing.cld"
+    write_cloud(PointCloud(np.zeros((10, 3)), Frame.MAP), path, binary=True)
+    with open(path, "r+b") as fh:
+        fh.truncate(path.stat().st_size + (64 << 20))
+    tracemalloc.start()
+    try:
+        with pytest.raises(CloudFormatError, match="header implies"):
+            read_cloud(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, f"peak {peak / 2**20:.1f} MiB"
+
+
+def test_read_cloud_refuses_a_count_beyond_the_file(tmp_path):
+    path = tmp_path / "huge.cld"
+    path.write_bytes(CLOUD_MAGIC + struct.pack("<Q", 1 << 40) + b"\0" * 4)
+    with pytest.raises(CloudFormatError, match="header implies"):
+        read_cloud(path)
+
+
 def test_trajectory_round_trip(tmp_path):
     rng = np.random.default_rng(63)
     rows = [
@@ -150,7 +175,7 @@ def test_trajectory_unknown_source(tmp_path):
 
 def test_config_defaults_from_empty():
     cfg = config_from_dict({})
-    assert cfg.grid.resolution == 0.05  # map-scale default
+    assert cfg.sim.extent == 10.0  # desk-scale scene default
     assert cfg.loss.scale == 0.1  # robust kernel default
     assert cfg.icp.max_iterations == 50
     assert cfg.icp.max_correspondence_distance == 0.1
@@ -159,8 +184,15 @@ def test_config_defaults_from_empty():
 
 
 def test_config_override():
-    cfg = config_from_dict({"grid.resolution": "0.1"})
-    assert cfg.grid.resolution == 0.1
+    cfg = config_from_dict({"scene.extent": "12.5"})
+    assert cfg.sim.extent == 12.5
+
+
+@pytest.mark.parametrize("key", ["map", "grid.resolution", "grid.margin"])
+def test_config_rejects_keys_no_command_reads(key):
+    # Grid settings are build-df flags; no command reads a map path from the config.
+    with pytest.raises(ConfigError, match=re.escape(f"unknown key '{key}'")):
+        config_from_dict({key: "1"})
 
 
 def test_config_unknown_key():
@@ -184,8 +216,6 @@ def test_config_constraint_violation():
 # plus NaN for every float key: NaN fails every comparison, so a check written
 # as `x < 0` would let it through.
 CONSTRAINT_VIOLATIONS = {
-    "grid.resolution": ["0", "nan"],
-    "grid.margin": ["-0.1", "nan"],
     "loss.kind": ["huber"],
     "loss.scale": ["0", "nan"],
     "solver.max_iterations": ["0"],
@@ -242,9 +272,7 @@ def test_formats_md_config_table_matches_defaults():
         value = defaults
         for name in CONFIG_KEYS[key].split("."):
             value = getattr(value, name)
-        if value is None:
-            assert documented == "unset", key
-        elif isinstance(value, enum.Enum):
+        if isinstance(value, enum.Enum):
             assert documented == value.value, key
         elif isinstance(value, str):
             assert documented == value, key
@@ -254,9 +282,9 @@ def test_formats_md_config_table_matches_defaults():
 
 def test_config_file_parsing(tmp_path):
     path = tmp_path / "run.cfg"
-    path.write_text("# comment\ngrid.resolution = 0.2\nseed = 9\n\nloss.kind = none\n")
+    path.write_text("# comment\nscene.extent = 20.0\nseed = 9\n\nloss.kind = none\n")
     cfg = load_config(path)
-    assert cfg.grid.resolution == 0.2
+    assert cfg.sim.extent == 20.0
     assert cfg.seed == 9
     assert cfg.loss.kind.value == "none"
 

@@ -13,7 +13,6 @@ from dfloc.geometry import (
     apply_pose,
     attitude_matrix,
     compose,
-    d_rotate_z_dyaw,
     pose_delta,
     rotate_z,
     tilt_compensate,
@@ -42,21 +41,6 @@ def test_rotate_z_norm_preserving():
     for yaw in rng.uniform(-math.pi, math.pi, size=10):
         out = rotate_z(yaw, pts)
         assert np.abs(np.linalg.norm(out, axis=1) - np.linalg.norm(pts, axis=1)).max() < 1e-12
-
-
-def test_d_rotate_z_at_identity():
-    assert np.allclose(d_rotate_z_dyaw(0.0, [1.0, 0.0, 0.0]), [0.0, 1.0, 0.0])
-    assert np.allclose(d_rotate_z_dyaw(0.0, [0.0, 1.0, 0.0]), [-1.0, 0.0, 0.0])
-
-
-def test_d_rotate_z_matches_finite_differences():
-    rng = np.random.default_rng(2)
-    h = 1e-5
-    for _ in range(1000):
-        yaw = rng.uniform(-math.pi, math.pi)
-        p = rng.normal(scale=3.0, size=3)
-        fd = (rotate_z(yaw + h, p) - rotate_z(yaw - h, p)) / (2 * h)
-        assert np.abs(d_rotate_z_dyaw(yaw, p) - fd).max() < 1e-7
 
 
 def test_apply_pose_identity_and_translation():

@@ -183,6 +183,13 @@ def test_corrupt_odometry_deterministic():
     assert a == b
 
 
+def test_scenario_rejects_non_finite_timestamps():
+    scene = make_scene("box_room", 6.0, 20.0, seed=18)
+    model = ScanModel(max_range=8.0, points=50, noise_sigma=0.01)
+    with pytest.raises(ValueError, match="finite"):
+        make_scenario(scene, 3, 0.2, model, NoiseSetup(), seed=5, frame_dt=math.nan)
+
+
 def test_scenario_structure_and_determinism():
     scene = make_scene("box_room", 8.0, 40.0, seed=17)
     model = ScanModel(max_range=12.0, points=200, noise_sigma=0.01)
