@@ -11,13 +11,10 @@ from __future__ import annotations
 import argparse
 import inspect
 import logging
-import math
 import os
 import sys
 import time
 from pathlib import Path
-
-import numpy as np
 
 from . import bench, evaluation, formats
 from .distance_field import build_grid, load_grid, plan_grid, save_grid
@@ -123,40 +120,11 @@ def cmd_localize(args) -> int:
     )
     _stage("write-trajectory", formats.write_trajectory, run.rows, args.out)
     if args.timing_out:
-        _stage("write-timing", _write_step_times, run.step_times, args.timing_out)
+        _stage("write-timing", formats.write_step_times, run.step_times, args.timing_out)
     if run.diverged:
         print(f"warning: {args.method}/{args.mode} diverged at step {run.divergence_step}", file=sys.stderr)
     print(f"wrote {len(run.rows)} estimates to {args.out}")
     return 0
-
-
-STEP_TIMES_HEADER = "step,dt"
-
-
-def _write_step_times(times: np.ndarray, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(STEP_TIMES_HEADER + "\n")
-        for k, dt in enumerate(times):
-            fh.write(f"{k},{dt:.9g}\n")
-
-
-def _read_step_times(path) -> np.ndarray:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0].strip() != STEP_TIMES_HEADER:
-        raise ValueError(f"{path}: bad header (expected '{STEP_TIMES_HEADER}')")
-    times = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        try:
-            _, text = line.split(",")
-            dt = float(text)
-        except ValueError:  # wrong column count or a non-numeric dt
-            dt = math.nan
-        if not math.isfinite(dt):
-            raise ValueError(f"{path}: line {lineno}: expected 'step,dt' with a finite dt, got '{line}'")
-        times.append(dt)
-    return np.array(times)
 
 
 def cmd_benchmark(args) -> int:
@@ -200,7 +168,7 @@ def cmd_eval(args) -> int:
     print(f"rmse_t = {rt:.6f} m (dev {rt_dev:.6f})")
     print(f"rmse_a = {ra:.6f} rad (dev {ra_dev:.6f})")
     if args.timing:
-        times = _stage("read-timing", _read_step_times, args.timing)
+        times = _stage("read-timing", formats.read_step_times, args.timing)
         if times.size:
             print(f"dt = {times.mean():.6f} s (dev {times.std():.6f}, n={times.size})")
     return 0

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .formats import TrajectoryRow, TrajectorySource
+from .formats import TrajectoryRow, TrajectorySource, write_csv
 from .geometry import wrap_angle
 
 
@@ -83,21 +83,16 @@ def write_report(rows, path) -> None:
     the same seed produce byte-identical output; use write_timing for the
     measured per-scan times.
     """
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(REPORT_HEADER + "\n")
-        for r in rows:
-            fh.write(
-                f"{r.method},{r.mode},{_cell(r.rmse_t)},{_cell(r.rmse_t_dev)},"
-                f"{_cell(r.rmse_a)},{_cell(r.rmse_a_dev)},{str(r.diverged).lower()}\n"
-            )
+    write_csv(path, REPORT_HEADER, (
+        [r.method, r.mode, _cell(r.rmse_t), _cell(r.rmse_t_dev), _cell(r.rmse_a), _cell(r.rmse_a_dev),
+         str(r.diverged).lower()]
+        for r in rows
+    ))
 
 
 def write_timing(rows, path) -> None:
     """Write the per-scan timing companion table (wall-clock, not reproducible)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(TIMING_HEADER + "\n")
-        for r in rows:
-            fh.write(f"{r.method},{r.mode},{_cell(r.dt_mean)},{_cell(r.dt_dev)}\n")
+    write_csv(path, TIMING_HEADER, ([r.method, r.mode, _cell(r.dt_mean), _cell(r.dt_dev)] for r in rows))
 
 
 def estimate_rows(timestamps, poses, attitudes) -> list[TrajectoryRow]:

@@ -1,8 +1,9 @@
-"""File formats: point clouds, trajectory CSV, run configuration, scenario bundles.
+"""File formats: point clouds, CSV files, run configuration, scenario bundles.
 
 All layouts are documented byte-for-byte in FORMATS.md. Loads are
 all-or-nothing: a malformed input raises before any partially built
-object escapes. Distance-field grid persistence lives in
+object escapes. Text files are strict UTF-8, and every CSV file goes
+through read_csv and write_csv. Distance-field grid persistence lives in
 ``distance_field`` (save_grid / load_grid).
 """
 
@@ -13,14 +14,15 @@ import math
 import os
 import struct
 from dataclasses import dataclass, field, replace
-from pathlib import Path
+from functools import partial
+from pathlib import Path, PurePosixPath
 
 import numpy as np
 
 from .geometry import Attitude, Frame, OdomDelta, PointCloud, Pose4, wrap_angle
 from .registration import IcpOptions
 from .solver import RobustLoss, SolverOptions
-from .synth import SCENE_KINDS, NoiseSetup, ScanModel, Scene, ScenarioRun
+from .synth import FRAME_DT, SCENE_KINDS, NoiseSetup, ScanModel, Scene, ScenarioRun
 from .tracker import ScanFrame
 
 CLOUD_MAGIC = b"XYZCLD1\n"
@@ -54,6 +56,47 @@ class ScenarioFormatError(ValueError):
     """Malformed scenario bundle."""
 
 
+def _read_text(path, error: type[ValueError]) -> str:
+    """A text file's content; bytes that are not UTF-8 raise ``error``."""
+    try:
+        return Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text: {exc}") from exc
+
+
+def read_csv(path, header: str, error: type[ValueError], parse) -> list:
+    """The rows of a CSV file with exactly this header, each converted by ``parse``.
+
+    Blank lines are skipped. ``parse`` gets a row's fields; a row whose column
+    count differs from the header's, or whose ``parse`` raises ValueError or
+    OSError, raises ``error`` naming the file and line.
+    """
+    lines = _read_text(path, error).splitlines()
+    if not lines or lines[0].strip() != header:
+        got = lines[0].strip() if lines else "<empty file>"
+        raise error(f"{path}: bad header '{got}' (expected '{header}')")
+    columns = header.count(",") + 1
+    rows = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        fields = line.split(",")
+        if len(fields) != columns:
+            raise error(f"{path}: line {lineno}: expected {columns} columns, got {len(fields)}")
+        try:
+            rows.append(parse(fields))
+        except (ValueError, OSError) as exc:
+            raise error(f"{path}: line {lineno}: {exc}") from exc
+    return rows
+
+
+def write_csv(path, header: str, rows) -> None:
+    """Write the header, then each row's cells joined by commas, one ``\\n``-terminated line each."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(header + "\n")
+        fh.writelines(",".join(row) + "\n" for row in rows)
+
+
 def read_cloud(path, frame: Frame = Frame.MAP) -> PointCloud:
     """Load a point cloud from ASCII XYZ or the binary cloud format.
 
@@ -63,11 +106,9 @@ def read_cloud(path, frame: Frame = Frame.MAP) -> PointCloud:
     """
     path = Path(path)
     with open(path, "rb") as fh:
-        magic = fh.read(len(CLOUD_MAGIC))
-        if magic == CLOUD_MAGIC:
+        if fh.read(len(CLOUD_MAGIC)) == CLOUD_MAGIC:
             return _read_cloud_binary(fh, path, frame)
-        raw = magic + fh.read()
-    return _read_cloud_text(raw, path, frame)
+    return _read_cloud_text(_read_text(path, CloudParseError), path, frame)
 
 
 def _read_cloud_binary(fh, path: Path, frame: Frame) -> PointCloud:
@@ -90,9 +131,9 @@ def _read_cloud_binary(fh, path: Path, frame: Frame) -> PointCloud:
     return PointCloud(pts.astype(np.float64), frame)
 
 
-def _read_cloud_text(raw: bytes, path: Path, frame: Frame) -> PointCloud:
+def _read_cloud_text(text: str, path: Path, frame: Frame) -> PointCloud:
     rows = []
-    for lineno, line in enumerate(raw.decode("utf-8", errors="replace").splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
         if not body:
             continue
@@ -159,44 +200,48 @@ class TrajectoryRow:
 TRAJECTORY_HEADER = "t,tx,ty,tz,roll,pitch,yaw,source"
 
 
+def _digits12(*values: float) -> list[str]:
+    return [f"{v:.12g}" for v in values]
+
+
 def write_trajectory(rows, path) -> None:
     """Write trajectory rows as CSV; values round-trip to better than 1e-9."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(TRAJECTORY_HEADER + "\n")
-        for r in rows:
-            fh.write(
-                f"{r.timestamp:.12g},{r.tx:.12g},{r.ty:.12g},{r.tz:.12g},"
-                f"{r.roll:.12g},{r.pitch:.12g},{r.yaw:.12g},{r.source.value}\n"
-            )
+    write_csv(path, TRAJECTORY_HEADER, (
+        [*_digits12(r.timestamp, r.tx, r.ty, r.tz, r.roll, r.pitch, r.yaw), r.source.value] for r in rows
+    ))
+
+
+def _trajectory_row(fields: list[str]) -> TrajectoryRow:
+    values = [float(v) for v in fields[:7]]
+    source = fields[7].strip()
+    if source not in {s.value for s in TrajectorySource}:
+        raise ValueError(f"unknown source '{source}'")
+    return TrajectoryRow(*values, TrajectorySource(source))
 
 
 def read_trajectory(path) -> list[TrajectoryRow]:
-    path = Path(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0].strip() != TRAJECTORY_HEADER:
-        got = lines[0].strip() if lines else "<empty file>"
-        raise TrajectoryFormatError(f"{path}: bad header '{got}' (expected '{TRAJECTORY_HEADER}')")
-    rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != 8:
-            raise TrajectoryFormatError(f"{path}: line {lineno}: expected 8 columns, got {len(parts)}")
-        try:
-            vals = [float(v) for v in parts[:7]]
-        except ValueError:
-            raise TrajectoryFormatError(f"{path}: line {lineno}: non-numeric field") from None
-        token = parts[7].strip()
-        try:
-            source = TrajectorySource(token)
-        except ValueError:
-            raise TrajectoryFormatError(f"{path}: line {lineno}: unknown source '{token}'") from None
-        try:
-            rows.append(TrajectoryRow(*vals, source))
-        except ValueError as exc:
-            raise TrajectoryFormatError(f"{path}: line {lineno}: {exc}") from None
-    return rows
+    return read_csv(path, TRAJECTORY_HEADER, TrajectoryFormatError, _trajectory_row)
+
+
+STEP_TIMES_HEADER = "step,dt"
+
+
+def write_step_times(times, path) -> None:
+    """Write per-step wall-clock times as ``step,dt`` rows."""
+    write_csv(path, STEP_TIMES_HEADER, ([str(k), f"{dt:.9g}"] for k, dt in enumerate(times)))
+
+
+def _step_time(fields: list[str]) -> float:
+    int(fields[0])  # the step must be an integer; its value is not used
+    dt = float(fields[1])
+    if not math.isfinite(dt):
+        raise ValueError(f"dt '{fields[1]}' is not finite")
+    return dt
+
+
+def read_step_times(path) -> np.ndarray:
+    """The dt column of a step-times file; every row needs an integer step and a finite dt."""
+    return np.array(read_csv(path, STEP_TIMES_HEADER, ValueError, _step_time))
 
 
 # -- run configuration -------------------------------------------------------
@@ -212,7 +257,7 @@ class SimOptions:
     steps: int = 100
     step_length: float = 0.15
     scan: ScanModel = field(default_factory=ScanModel)
-    frame_dt: float = 0.1
+    frame_dt: float = FRAME_DT
 
     def __post_init__(self):
         if self.scene_kind not in SCENE_KINDS:
@@ -309,8 +354,7 @@ def config_from_dict(raw: dict[str, str], path="<config>") -> RunConfig:
 
 def load_config(path) -> RunConfig:
     """Load a run configuration; absent keys fall back to the documented defaults."""
-    path = Path(path)
-    return config_from_dict(parse_keyvalues(path.read_text(encoding="utf-8"), path), path)
+    return config_from_dict(parse_keyvalues(_read_text(path, ConfigError), path), path)
 
 
 # -- scenario bundles ---------------------------------------------------------
@@ -343,61 +387,54 @@ def save_scenario(run: ScenarioRun, directory) -> None:
     (directory / SCENARIO_META).write_text("\n".join(meta) + "\n", encoding="utf-8")
     write_cloud(run.scene.map, directory / "map.cld", binary=True)
     write_trajectory(ground_truth_rows(run), directory / "ground_truth.csv")
-    with open(directory / "frames.csv", "w", encoding="utf-8") as fh:
-        fh.write(FRAMES_HEADER + "\n")
-        for k, frame in enumerate(run.frames):
-            d = frame.odom if frame.odom is not None else OdomDelta.zero()
-            scan_name = f"scans/{k:06d}.cld"
-            fh.write(
-                f"{frame.timestamp:.12g},{d.dtx:.12g},{d.dty:.12g},{d.dtz:.12g},"
-                f"{d.dyaw:.12g},{frame.attitude.roll:.12g},{frame.attitude.pitch:.12g},{scan_name}\n"
-            )
-            write_cloud(frame.cloud, directory / scan_name, binary=True)
+    rows = []
+    for k, frame in enumerate(run.frames):
+        d = frame.odom if frame.odom is not None else OdomDelta.zero()
+        scan = f"scans/{k:06d}.cld"
+        write_cloud(frame.cloud, directory / scan, binary=True)
+        att = frame.attitude
+        rows.append([*_digits12(frame.timestamp, d.dtx, d.dty, d.dtz, d.dyaw, att.roll, att.pitch), scan])
+    write_csv(directory / "frames.csv", FRAMES_HEADER, rows)
+
+
+def _frame(directory: Path, fields: list[str]) -> ScanFrame:
+    t, dtx, dty, dtz, dyaw, roll, pitch = (float(v) for v in fields[:7])
+    scan = PurePosixPath(fields[7].strip())
+    if scan.is_absolute() or ".." in scan.parts:
+        raise ValueError(f"scan path '{scan}' leaves the bundle")
+    cloud = read_cloud(directory / scan, Frame.SENSOR)
+    return ScanFrame(cloud, Attitude(roll, pitch), OdomDelta(dtx, dty, dtz, dyaw), t)
 
 
 def load_scenario(directory) -> ScenarioRun:
-    """Read a bundle written by save_scenario."""
+    """Read a bundle written by save_scenario.
+
+    A missing or malformed member raises ScenarioFormatError naming it, with
+    the underlying error as its cause.
+    """
     directory = Path(directory)
-    meta_path = directory / SCENARIO_META
-    if not meta_path.is_file():
-        raise ScenarioFormatError(f"{directory}: missing {SCENARIO_META}")
-    meta = parse_keyvalues(meta_path.read_text(encoding="utf-8"), meta_path)
+    member = "map.cld"
     try:
+        cloud = read_cloud(directory / member, Frame.MAP)
+        member = SCENARIO_META  # read after the map, so that bounds unable to hold it name this file
+        meta = parse_keyvalues(_read_text(directory / member, ScenarioFormatError), directory / member)
         seed = int(meta.get("seed", "0"))
         noise = NoiseSetup(
             float(meta.get("noise.sigma_t", "0")),
             float(meta.get("noise.sigma_yaw", "0")),
             int(meta.get("noise.seed", "0")),
         )
-        bmin = [float(v) for v in meta["bounds.min"].split()]
-        bmax = [float(v) for v in meta["bounds.max"].split()]
-    except (KeyError, ValueError) as exc:
-        raise ScenarioFormatError(f"{meta_path}: bad metadata: {exc}") from exc
-    scene = Scene(read_cloud(directory / "map.cld", Frame.MAP), np.array([bmin, bmax]))
-    gt_rows = read_trajectory(directory / "ground_truth.csv")
-    poses = tuple(r.pose() for r in gt_rows)
-
-    frames_path = directory / "frames.csv"
-    lines = frames_path.read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0].strip() != FRAMES_HEADER:
-        raise ScenarioFormatError(f"{frames_path}: bad header (expected '{FRAMES_HEADER}')")
-    frames = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != 8:
-            raise ScenarioFormatError(f"{frames_path}: line {lineno}: expected 8 columns")
-        try:
-            t, dtx, dty, dtz, dyaw, roll, pitch = (float(v) for v in parts[:7])
-        except ValueError:
-            raise ScenarioFormatError(f"{frames_path}: line {lineno}: non-numeric field") from None
-        cloud = read_cloud(directory / parts[7].strip(), Frame.SENSOR)
-        frames.append(
-            ScanFrame(cloud, Attitude(roll, pitch), OdomDelta(dtx, dty, dtz, dyaw), t)
-        )
-    if len(frames) != len(poses):
-        raise ScenarioFormatError(
-            f"{directory}: {len(frames)} frames but {len(poses)} ground-truth poses"
-        )
-    return ScenarioRun(scene, poses, tuple(frames), noise, seed)
+        bounds = [[float(v) for v in meta[key].split()] for key in ("bounds.min", "bounds.max")]
+        if any(len(b) != 3 for b in bounds):
+            raise ValueError("bounds.min and bounds.max take 3 numbers each")
+        scene = Scene(cloud, np.array(bounds))
+        member = "ground_truth.csv"
+        poses = [r.pose() for r in read_trajectory(directory / member)]
+        member = "frames.csv"
+        frames = read_csv(directory / member, FRAMES_HEADER, ScenarioFormatError, partial(_frame, directory))
+        return ScenarioRun(scene, poses, frames, noise, seed)
+    except ScenarioFormatError:
+        raise
+    except (OSError, KeyError, ValueError) as exc:
+        where = str(directory / member)
+        raise ScenarioFormatError(str(exc) if where in str(exc) else f"{where}: {exc}") from exc

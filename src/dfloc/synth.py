@@ -35,6 +35,10 @@ SCENE_KINDS = ("box_room", "building_yard")
 
 # Minimum pose-to-surface distance kept by generated trajectories.
 TRAJECTORY_CLEARANCE = 0.5
+# Seconds between consecutive frames of a generated scenario.
+FRAME_DT = 0.1
+# Standard deviation (rad) of each frame's roll and pitch, clipped to +-0.15 rad.
+ATTITUDE_WOBBLE = 0.03
 
 
 @dataclass(frozen=True)
@@ -48,8 +52,8 @@ class Scene:
         bounds = np.asarray(self.bounds, dtype=np.float64).reshape(2, 3).copy()
         if len(self.map) == 0:
             raise ValueError("scene map must be nonempty")
-        if (bounds[1] <= bounds[0]).any():
-            raise ValueError("scene bounds must span a positive volume")
+        if not np.isfinite(bounds).all() or (bounds[1] <= bounds[0]).any():
+            raise ValueError("scene bounds must be finite and span a positive volume")
         pts = self.map.points
         # Tolerance covers f32 round-tripping of boundary points through bundle files.
         if (pts < bounds[0] - 1e-4).any() or (pts > bounds[1] + 1e-4).any():
@@ -245,31 +249,25 @@ def make_trajectory(scene: Scene, steps: int, step_length: float, seed: int = 0)
         # arc-length stepping with jittered per-step targets
         t = rng.uniform(0.0, 2.0 * math.pi)
         pts = [positions(amp, freq, phase, t)]
-        ok = True
         for _ in range(steps - 1):
             target = step_length * rng.uniform(0.9, 1.1)
-            # velocity-scaled parameter step, refined once for arc accuracy
-            for _ in range(3):
-                vel = positions(amp, freq, phase, t + 1e-6) - positions(amp, freq, phase, t - 1e-6)
-                speed = float(np.linalg.norm(vel)) / 2e-6
-                if speed < 1e-9:
-                    ok = False
-                    break
-                dt = target / speed
-                cand = positions(amp, freq, phase, t + dt)
-                chord = float(np.linalg.norm(cand - pts[-1]))
-                if abs(chord - target) < 0.02 * target:
-                    break
+            # velocity-scaled parameter step, refined once at the midpoint for arc accuracy
+            vel = positions(amp, freq, phase, t + 1e-6) - positions(amp, freq, phase, t - 1e-6)
+            speed = float(np.linalg.norm(vel)) / 2e-6
+            if speed < 1e-9:
+                break
+            dt = target / speed
+            cand = positions(amp, freq, phase, t + dt)
+            chord = float(np.linalg.norm(cand - pts[-1]))
+            if not abs(chord - target) < 0.02 * target:  # a NaN chord refines too
                 t_mid = t + 0.5 * dt
                 vel = positions(amp, freq, phase, t_mid + 1e-6) - positions(amp, freq, phase, t_mid - 1e-6)
                 speed = max(float(np.linalg.norm(vel)) / 2e-6, 1e-9)
                 dt = target / speed
                 cand = positions(amp, freq, phase, t + dt)
-            if not ok:
-                break
             t += dt
             pts.append(cand)
-        if not ok:
+        if len(pts) < steps:
             continue
         path = np.array(pts)
         deltas = np.diff(path, axis=0)
@@ -357,8 +355,7 @@ def make_scenario(
     model: ScanModel,
     noise: NoiseSetup,
     seed: int = 0,
-    frame_dt: float = 0.1,
-    attitude_wobble: float = 0.03,
+    frame_dt: float = FRAME_DT,
 ) -> ScenarioRun:
     """Assemble a full tracking scenario over a prebuilt scene.
 
@@ -377,8 +374,8 @@ def make_scenario(
     frames = []
     for k, pose in enumerate(poses):
         att = Attitude(
-            float(np.clip(att_rng.normal(0.0, attitude_wobble), -0.15, 0.15)),
-            float(np.clip(att_rng.normal(0.0, attitude_wobble), -0.15, 0.15)),
+            float(np.clip(att_rng.normal(0.0, ATTITUDE_WOBBLE), -0.15, 0.15)),
+            float(np.clip(att_rng.normal(0.0, ATTITUDE_WOBBLE), -0.15, 0.15)),
         )
         cloud = simulate_scan(scene, pose, att, model, seed=scan_seeds[k])
         frames.append(ScanFrame(cloud, att, deltas[k], k * frame_dt))

@@ -89,8 +89,8 @@ def test_eval_on_estimates(workspace, capsys):
 
 @pytest.mark.parametrize(
     "content",
-    [None, "", "t,dt\n0,0.1\n", "step,dt\n0,fast\n", "step,dt\n0\n", "step,dt\n0,nan\n"],
-    ids=["missing", "empty", "bad-header", "non-numeric", "short-row", "non-finite"],
+    [None, "", "t,dt\n0,0.1\n", "step,dt\n0,fast\n", "step,dt\n0\n", "step,dt\n0,nan\n", "step,dt\nabc,0.5\n"],
+    ids=["missing", "empty", "bad-header", "non-numeric", "short-row", "non-finite", "non-integer-step"],
 )
 def test_eval_bad_timing_is_stage_error(workspace, tmp_path, capsys, content):
     root, _ = workspace

@@ -320,3 +320,53 @@ def test_scenario_bundle_round_trip(tmp_path):
 def test_scenario_missing_meta(tmp_path):
     with pytest.raises(ScenarioFormatError):
         load_scenario(tmp_path)
+
+
+@pytest.fixture
+def bundle(tmp_path):
+    scene = make_scene("box_room", 4.0, 10.0, seed=72)
+    model = ScanModel(max_range=6.0, points=20, noise_sigma=0.01)
+    out = tmp_path / "scn"
+    save_scenario(make_scenario(scene, 3, 0.2, model, NoiseSetup(0.01, 0.01), seed=73), out)
+    return out
+
+
+def _replace_line(path, lineno, edit):
+    lines = path.read_text().splitlines()
+    lines[lineno] = edit(lines[lineno])
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _set_field(column, value):
+    return lambda line: ",".join(value if i == column else v for i, v in enumerate(line.split(",")))
+
+
+@pytest.mark.parametrize(
+    "member, spoil",
+    [
+        ("scenario.txt", lambda d: (d / "scenario.txt").write_text("seed 3\n")),
+        ("scenario.txt", lambda d: _replace_line(d / "scenario.txt", 4, lambda _: "bounds.min = 0 0 0 0")),
+        ("scenario.txt", lambda d: _replace_line(d / "scenario.txt", 5, lambda _: "bounds.max = 9 9 nan")),
+        ("frames.csv", lambda d: _replace_line(d / "frames.csv", 2, _set_field(5, "nan"))),
+        ("frames.csv", lambda d: _replace_line(d / "frames.csv", 3, _set_field(0, "0"))),
+        ("map.cld", lambda d: (d / "map.cld").unlink()),
+        ("scans/000001.cld", lambda d: (d / "scans" / "000001.cld").unlink()),
+    ],
+    ids=["meta-line-without-equals", "bounds-with-4-numbers", "nan-bound", "nan-roll", "non-increasing-times",
+         "missing-map", "missing-scan"],
+)
+def test_malformed_bundle_member_is_scenario_format_error(bundle, member, spoil):
+    spoil(bundle)
+    with pytest.raises(ScenarioFormatError, match=re.escape(member)) as info:
+        load_scenario(bundle)
+    assert info.value.__cause__ is not None
+
+
+@pytest.mark.parametrize("scan", ["absolute", "../outside.cld", "scans/../../outside.cld"])
+def test_load_scenario_refuses_scan_paths_outside_the_bundle(bundle, scan):
+    outside = bundle.parent / "outside.cld"
+    write_cloud(PointCloud(np.ones((20, 3)), Frame.SENSOR), outside, binary=True)
+    scan = str(outside) if scan == "absolute" else scan
+    _replace_line(bundle / "frames.csv", 1, _set_field(7, scan))
+    with pytest.raises(ScenarioFormatError, match="line 2: scan path"):
+        load_scenario(bundle)
