@@ -13,9 +13,11 @@ import enum
 import math
 import os
 import struct
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 from functools import partial
-from pathlib import Path, PurePosixPath
+from itertools import count
+from pathlib import Path
 
 import numpy as np
 
@@ -263,8 +265,8 @@ class SimOptions:
         if self.scene_kind not in SCENE_KINDS:
             raise ValueError(f"scene kind must be one of {SCENE_KINDS}")
         for name in ("extent", "density", "step_length", "frame_dt"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
         if self.steps < 2:
             raise ValueError("steps must be at least 2")
 
@@ -294,7 +296,6 @@ CONFIG_KEYS = {
     "solver.damping_decrease": "solver.damping_decrease",
     "icp.max_iterations": "icp.max_iterations",
     "icp.max_correspondence_distance": "icp.max_correspondence_distance",
-    "icp.outlier_rejection_threshold": "icp.outlier_rejection_threshold",
     "icp.convergence_epsilon": "icp.convergence_epsilon",
     "noise.sigma_t": "noise.sigma_t",
     "noise.sigma_yaw": "noise.sigma_yaw",
@@ -361,6 +362,7 @@ def load_config(path) -> RunConfig:
 
 SCENARIO_META = "scenario.txt"
 FRAMES_HEADER = "t,dtx,dty,dtz,dyaw,roll,pitch,scan"
+SCAN_PATH = "scans/{:06d}.cld"  # row k of frames.csv names scan k
 
 
 def ground_truth_rows(run: ScenarioRun) -> list[TrajectoryRow]:
@@ -390,18 +392,19 @@ def save_scenario(run: ScenarioRun, directory) -> None:
     rows = []
     for k, frame in enumerate(run.frames):
         d = frame.odom if frame.odom is not None else OdomDelta.zero()
-        scan = f"scans/{k:06d}.cld"
+        scan = SCAN_PATH.format(k)
         write_cloud(frame.cloud, directory / scan, binary=True)
         att = frame.attitude
         rows.append([*_digits12(frame.timestamp, d.dtx, d.dty, d.dtz, d.dyaw, att.roll, att.pitch), scan])
     write_csv(directory / "frames.csv", FRAMES_HEADER, rows)
 
 
-def _frame(directory: Path, fields: list[str]) -> ScanFrame:
+def _frame(directory: Path, row_index: Iterator[int], fields: list[str]) -> ScanFrame:
+    expected = SCAN_PATH.format(next(row_index))
     t, dtx, dty, dtz, dyaw, roll, pitch = (float(v) for v in fields[:7])
-    scan = PurePosixPath(fields[7].strip())
-    if scan.is_absolute() or ".." in scan.parts:
-        raise ValueError(f"scan path '{scan}' leaves the bundle")
+    scan = fields[7].strip()
+    if scan != expected:
+        raise ValueError(f"scan path '{scan}' is not '{expected}'")
     cloud = read_cloud(directory / scan, Frame.SENSOR)
     return ScanFrame(cloud, Attitude(roll, pitch), OdomDelta(dtx, dty, dtz, dyaw), t)
 
@@ -431,7 +434,8 @@ def load_scenario(directory) -> ScenarioRun:
         member = "ground_truth.csv"
         poses = [r.pose() for r in read_trajectory(directory / member)]
         member = "frames.csv"
-        frames = read_csv(directory / member, FRAMES_HEADER, ScenarioFormatError, partial(_frame, directory))
+        frames = read_csv(directory / member, FRAMES_HEADER, ScenarioFormatError,
+                          partial(_frame, directory, count()))
         return ScenarioRun(scene, poses, frames, noise, seed)
     except ScenarioFormatError:
         raise

@@ -62,19 +62,18 @@ class NoCorrespondencesError(RegistrationError):
 @dataclass(frozen=True)
 class IcpOptions:
     """ICP configuration; defaults follow the baseline setup (50 iterations,
-    0.1 m correspondence radius, 1.0 m outlier rejection)."""
+    0.1 m correspondence radius)."""
 
     max_iterations: int = 50
     max_correspondence_distance: float = 0.1
-    outlier_rejection_threshold: float = 1.0
     convergence_epsilon: float = 1e-9
 
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
-        for name in ("max_correspondence_distance", "outlier_rejection_threshold", "convergence_epsilon"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive")
+        for name in ("max_correspondence_distance", "convergence_epsilon"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -254,9 +253,9 @@ def icp_register(
 ) -> RegistrationResult:
     """Iterative-closest-point baseline restricted to [tx, ty, tz, yaw].
 
-    Pairs beyond max_correspondence_distance are discarded; pairs beyond
-    outlier_rejection_threshold keep zero weight. Raises
-    NoCorrespondencesError when an iteration is left with no usable pair.
+    Pairs beyond max_correspondence_distance are discarded; the rest weigh
+    equally. Raises NoCorrespondencesError when an iteration is left with
+    no pair.
     """
     _check_registration_cloud(cloud)
     start = time.perf_counter()
@@ -275,15 +274,11 @@ def icp_register(
             raise NoCorrespondencesError(
                 f"no correspondences within {opts.max_correspondence_distance} m at iteration {iterations}"
             )
-        w = np.where(dist[keep] <= opts.outlier_rejection_threshold, 1.0, 0.0)
-        if not w.any():
-            raise NoCorrespondencesError(
-                f"all correspondences rejected as outliers at iteration {iterations}"
-            )
-        new_pose = align_4dof(pts[keep], matches[keep], w)
-        residual = apply_pose(new_pose, pts[keep]) - matches[keep]
-        cost = float((w * (residual**2).sum(axis=1)).sum())
-        n_used = int((w > 0.0).sum())
+        src, dst = pts[keep], matches[keep]
+        new_pose = align_4dof(src, dst)
+        residual = apply_pose(new_pose, src) - dst
+        cost = float((residual**2).sum(axis=1).sum())
+        n_used = len(src)
         change = np.abs(new_pose.as_array() - pose.as_array())
         change[3] = abs(float(wrap_angle(new_pose.yaw - pose.yaw)))
         pose = new_pose

@@ -15,6 +15,7 @@ and at the result, so a caller never has to evaluate either pose again.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -48,8 +49,8 @@ def cauchy_rho(s, scale: float) -> tuple[np.ndarray, np.ndarray]:
     1 at zero residual, decaying toward 0 as the residual grows, which is
     what suppresses unmapped clutter.
     """
-    if not scale > 0.0:
-        raise ValueError(f"scale must be positive, got {scale}")
+    if not 0.0 < scale < math.inf:
+        raise ValueError(f"scale must be positive and finite, got {scale}")
     s = np.asarray(s, dtype=np.float64)
     c2 = scale * scale
     t = s / c2
@@ -70,8 +71,8 @@ class RobustLoss:
     def __post_init__(self):
         if not isinstance(self.kind, LossKind):
             object.__setattr__(self, "kind", LossKind(self.kind))
-        if not self.scale > 0.0:
-            raise ValueError(f"loss scale must be positive, got {self.scale}")
+        if not 0.0 < self.scale < math.inf:
+            raise ValueError(f"loss scale must be positive and finite, got {self.scale}")
 
     def cost_and_weights(self, r: np.ndarray) -> tuple[float, np.ndarray]:
         s = r * r
@@ -106,10 +107,10 @@ class SolverOptions:
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
         for name in ("param_tolerance", "cost_tolerance", "initial_damping"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive")
-        if not self.damping_increase > 1.0:
-            raise ValueError("damping_increase must exceed 1")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
+        if not 1.0 < self.damping_increase < math.inf:
+            raise ValueError("damping_increase must exceed 1 and be finite")
         if not 0.0 < self.damping_decrease < 1.0:
             raise ValueError("damping_decrease must lie in (0, 1)")
 
@@ -121,18 +122,22 @@ class SolveReport:
     ``evaluations`` counts the provider calls the solve made: every trial
     step, accepted or rejected, plus the start unless it was handed in.
     ``initial_evaluation`` and ``final_evaluation`` are the provider's
-    outputs at ``x0`` and at ``final_params``, as returned.
+    outputs at ``x0`` and at ``final_params``, as returned. ``converged``
+    holds when the solve stopped on a tolerance.
     """
 
     final_params: Pose4
     initial_cost: float
     final_cost: float
     iterations: int
-    converged: bool
     termination: Termination
     evaluations: int
     initial_evaluation: tuple | None = field(default=None, repr=False, compare=False)
     final_evaluation: tuple | None = field(default=None, repr=False, compare=False)
+
+    @property
+    def converged(self) -> bool:
+        return self.termination in (Termination.PARAM_TOL, Termination.COST_TOL)
 
 
 def _weigh(evaluation, loss: RobustLoss):
@@ -168,7 +173,7 @@ def solve_lm(
     r, jac, cost, w = _weigh(evaluation, loss)
     initial_cost = cost
     if not np.isfinite(cost):
-        return SolveReport(pose, initial_cost, cost, 0, False, Termination.NUMERICAL_FAILURE,
+        return SolveReport(pose, initial_cost, cost, 0, Termination.NUMERICAL_FAILURE,
                            evaluations, start, evaluation)
 
     lam = opts.initial_damping
@@ -184,55 +189,45 @@ def solve_lm(
             break
         damp_scale = np.maximum(np.diag(normal), 1e-12)
 
-        step_done = False
         # Set by a rejected step: the next step, shrunk by the raised
         # damping, is tried even if it is below the tolerance, because its
         # size then reflects lam more than the distance to the optimum.
         try_small = False
-        while not step_done:
+        while True:
             try:
                 delta = np.linalg.solve(normal + lam * np.diag(damp_scale), -gradient)
             except np.linalg.LinAlgError:
                 delta = None
-            if delta is None or not np.isfinite(delta).all():
-                lam *= opts.damping_increase
-                if lam > _MAX_DAMPING:
-                    termination = Termination.NUMERICAL_FAILURE
-                    step_done = True
-                continue
-
-            small = np.abs(delta).max() < opts.param_tolerance
-            if small and not try_small:
-                # The admissible step is below resolution: converged (this
-                # also ends a rejected-step spiral, where lam blows up and
-                # delta shrinks to nothing).
-                termination = Termination.PARAM_TOL
-                step_done = True
-                continue
-
-            pose_new = Pose4.from_array(x + delta)
-            trial = residuals(pose_new)
-            evaluations += 1
-            r_new, jac_new, cost_new, w_new = _weigh(trial, loss)
-            if np.isfinite(cost_new) and cost_new < cost:
-                drop = cost - cost_new
-                x = pose_new.as_array()
-                pose, evaluation, r, jac, w = pose_new, trial, r_new, jac_new, w_new
-                cost = cost_new
-                lam = max(lam * opts.damping_decrease, 1e-15)
-                if drop < opts.cost_tolerance * max(cost, 1e-300):
-                    termination = Termination.COST_TOL
-                step_done = True
-            else:
+            if delta is not None and np.isfinite(delta).all():
+                small = np.abs(delta).max() < opts.param_tolerance
+                if small and not try_small:
+                    # The admissible step is below resolution: converged
+                    # (this also ends a rejected-step spiral, where lam
+                    # blows up and delta shrinks to nothing).
+                    termination = Termination.PARAM_TOL
+                    break
+                pose_new = Pose4.from_array(x + delta)
+                trial = residuals(pose_new)
+                evaluations += 1
+                r_new, jac_new, cost_new, w_new = _weigh(trial, loss)
+                if np.isfinite(cost_new) and cost_new < cost:
+                    drop = cost - cost_new
+                    x = pose_new.as_array()
+                    pose, evaluation, r, jac, w = pose_new, trial, r_new, jac_new, w_new
+                    cost = cost_new
+                    lam = max(lam * opts.damping_decrease, 1e-15)
+                    if drop < opts.cost_tolerance * max(cost, 1e-300):
+                        termination = Termination.COST_TOL
+                    break
                 try_small = not small
-                lam *= opts.damping_increase
-                if lam > _MAX_DAMPING:
-                    termination = Termination.NUMERICAL_FAILURE
-                    step_done = True
+            # A singular, non-finite or rejected step: damp harder.
+            lam *= opts.damping_increase
+            if lam > _MAX_DAMPING:
+                termination = Termination.NUMERICAL_FAILURE
+                break
 
         if termination is not Termination.MAX_ITER:
             break
 
-    converged = termination in (Termination.PARAM_TOL, Termination.COST_TOL)
-    return SolveReport(pose, initial_cost, cost, iterations, converged, termination,
+    return SolveReport(pose, initial_cost, cost, iterations, termination,
                        evaluations, start, evaluation)

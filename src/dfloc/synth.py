@@ -71,8 +71,8 @@ class NoiseSetup:
     seed: int = 0
 
     def __post_init__(self):
-        if not (self.sigma_t >= 0.0 and self.sigma_yaw >= 0.0):
-            raise ValueError("noise sigmas must be non-negative")
+        if not (0.0 <= self.sigma_t < math.inf and 0.0 <= self.sigma_yaw < math.inf):
+            raise ValueError("noise sigmas must be non-negative and finite")
 
 
 @dataclass(frozen=True)
@@ -85,12 +85,12 @@ class ScanModel:
     outlier_fraction: float = 0.0
 
     def __post_init__(self):
-        if not self.max_range > 0.0:
-            raise ValueError("max_range must be positive")
+        if not 0.0 < self.max_range < math.inf:
+            raise ValueError("max_range must be positive and finite")
         if self.points < 1:
             raise ValueError("points must be at least 1")
-        if not self.noise_sigma >= 0.0:
-            raise ValueError("noise_sigma must be non-negative")
+        if not 0.0 <= self.noise_sigma < math.inf:
+            raise ValueError("noise_sigma must be non-negative and finite")
         if not 0.0 <= self.outlier_fraction <= 1.0:
             raise ValueError("outlier_fraction must lie in [0, 1]")
 
@@ -158,8 +158,8 @@ def make_scene(kind: str, extent: float, density: float, seed: int = 0) -> Scene
     """
     if kind not in SCENE_KINDS:
         raise ValueError(f"unknown scene kind '{kind}' (expected one of {SCENE_KINDS})")
-    if not extent > 0.0 or not density > 0.0:
-        raise ValueError("extent and density must be positive")
+    if not (0.0 < extent < math.inf and 0.0 < density < math.inf):
+        raise ValueError("extent and density must be positive and finite")
     rng = np.random.default_rng(seed)
     if kind == "box_room":
         lo = np.zeros(3)

@@ -179,7 +179,6 @@ def test_config_defaults_from_empty():
     assert cfg.loss.scale == 0.1  # robust kernel default
     assert cfg.icp.max_iterations == 50
     assert cfg.icp.max_correspondence_distance == 0.1
-    assert cfg.icp.outlier_rejection_threshold == 1.0
     assert cfg.solver.max_iterations == 50
 
 
@@ -188,9 +187,10 @@ def test_config_override():
     assert cfg.sim.extent == 12.5
 
 
-@pytest.mark.parametrize("key", ["map", "grid.resolution", "grid.margin"])
+@pytest.mark.parametrize("key", ["map", "grid.resolution", "grid.margin", "icp.outlier_rejection_threshold"])
 def test_config_rejects_keys_no_command_reads(key):
     # Grid settings are build-df flags; no command reads a map path from the config.
+    # ICP keeps no outlier threshold: its correspondence radius is the only gate.
     with pytest.raises(ConfigError, match=re.escape(f"unknown key '{key}'")):
         config_from_dict({key: "1"})
 
@@ -213,33 +213,32 @@ def test_config_constraint_violation():
 
 
 # One violating value per constraint of the documented config keys (FORMATS.md),
-# plus NaN for every float key: NaN fails every comparison, so a check written
-# as `x < 0` would let it through.
+# plus NaN and inf for every float key: NaN fails every comparison, so a check
+# written as `x < 0` would let it through, and inf passes `x > 0`.
 CONSTRAINT_VIOLATIONS = {
     "loss.kind": ["huber"],
-    "loss.scale": ["0", "nan"],
+    "loss.scale": ["0", "nan", "inf"],
     "solver.max_iterations": ["0"],
-    "solver.param_tolerance": ["0", "nan"],
-    "solver.cost_tolerance": ["-1e-8", "nan"],
-    "solver.initial_damping": ["0", "nan"],
-    "solver.damping_increase": ["1", "nan"],
-    "solver.damping_decrease": ["0", "1", "nan"],
+    "solver.param_tolerance": ["0", "nan", "inf"],
+    "solver.cost_tolerance": ["-1e-8", "nan", "inf"],
+    "solver.initial_damping": ["0", "nan", "inf"],
+    "solver.damping_increase": ["1", "nan", "inf"],
+    "solver.damping_decrease": ["0", "1", "nan", "inf"],
     "icp.max_iterations": ["0"],
-    "icp.max_correspondence_distance": ["0", "nan"],
-    "icp.outlier_rejection_threshold": ["-1", "nan"],
-    "icp.convergence_epsilon": ["0", "nan"],
-    "noise.sigma_t": ["-0.1", "nan"],
-    "noise.sigma_yaw": ["-0.1", "nan"],
+    "icp.max_correspondence_distance": ["0", "nan", "inf"],
+    "icp.convergence_epsilon": ["0", "nan", "inf"],
+    "noise.sigma_t": ["-0.1", "nan", "inf"],
+    "noise.sigma_yaw": ["-0.1", "nan", "inf"],
     "scene.kind": ["forest"],
-    "scene.extent": ["0", "nan"],
-    "scene.density": ["-1", "nan"],
+    "scene.extent": ["0", "nan", "inf"],
+    "scene.density": ["-1", "nan", "inf"],
     "trajectory.steps": ["1"],
-    "trajectory.step_length": ["0", "nan"],
-    "trajectory.frame_dt": ["0", "nan"],
+    "trajectory.step_length": ["0", "nan", "inf"],
+    "trajectory.frame_dt": ["0", "nan", "inf"],
     "scan.points": ["0"],
-    "scan.max_range": ["0", "nan"],
-    "scan.noise_sigma": ["-0.01", "nan"],
-    "scan.outlier_fraction": ["-0.1", "1.5", "nan"],
+    "scan.max_range": ["0", "nan", "inf"],
+    "scan.noise_sigma": ["-0.01", "nan", "inf"],
+    "scan.outlier_fraction": ["-0.1", "1.5", "nan", "inf"],
     "seed": ["1.5"],
 }
 
@@ -347,13 +346,14 @@ def _set_field(column, value):
         ("scenario.txt", lambda d: (d / "scenario.txt").write_text("seed 3\n")),
         ("scenario.txt", lambda d: _replace_line(d / "scenario.txt", 4, lambda _: "bounds.min = 0 0 0 0")),
         ("scenario.txt", lambda d: _replace_line(d / "scenario.txt", 5, lambda _: "bounds.max = 9 9 nan")),
+        ("scenario.txt", lambda d: _replace_line(d / "scenario.txt", 1, lambda _: "noise.sigma_t = inf")),
         ("frames.csv", lambda d: _replace_line(d / "frames.csv", 2, _set_field(5, "nan"))),
         ("frames.csv", lambda d: _replace_line(d / "frames.csv", 3, _set_field(0, "0"))),
         ("map.cld", lambda d: (d / "map.cld").unlink()),
         ("scans/000001.cld", lambda d: (d / "scans" / "000001.cld").unlink()),
     ],
-    ids=["meta-line-without-equals", "bounds-with-4-numbers", "nan-bound", "nan-roll", "non-increasing-times",
-         "missing-map", "missing-scan"],
+    ids=["meta-line-without-equals", "bounds-with-4-numbers", "nan-bound", "inf-sigma", "nan-roll",
+         "non-increasing-times", "missing-map", "missing-scan"],
 )
 def test_malformed_bundle_member_is_scenario_format_error(bundle, member, spoil):
     spoil(bundle)
@@ -369,4 +369,11 @@ def test_load_scenario_refuses_scan_paths_outside_the_bundle(bundle, scan):
     scan = str(outside) if scan == "absolute" else scan
     _replace_line(bundle / "frames.csv", 1, _set_field(7, scan))
     with pytest.raises(ScenarioFormatError, match="line 2: scan path"):
+        load_scenario(bundle)
+
+
+def test_load_scenario_refuses_another_frames_scan(bundle):
+    # Row k must name its own scan: frame 2 may not load frame 0's cloud.
+    _replace_line(bundle / "frames.csv", 3, _set_field(7, "scans/000000.cld"))
+    with pytest.raises(ScenarioFormatError, match=re.escape("line 4: scan path 'scans/000000.cld'")):
         load_scenario(bundle)

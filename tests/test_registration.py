@@ -230,8 +230,7 @@ def test_icp_matches_known_correspondence_alignment(small_scene):
     true = Pose4(0.02, -0.015, 0.01, 0.004)
     body_pts = apply_pose(true.inverse(), map_pts)
     body = PointCloud(body_pts, Frame.BODY)
-    opts = IcpOptions(max_iterations=50, max_correspondence_distance=1e9,
-                      outlier_rejection_threshold=1e9, convergence_epsilon=1e-12)
+    opts = IcpOptions(max_iterations=50, max_correspondence_distance=1e9, convergence_epsilon=1e-12)
     res = icp_register(body, index, Pose4.identity(), opts)
     # compare against the closed form on the true pairs
     direct = align_4dof(body_pts, map_pts)

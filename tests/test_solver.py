@@ -55,6 +55,10 @@ def test_cauchy_requires_positive_scale():
         cauchy_rho(1.0, 0.0)
     with pytest.raises(ValueError):
         RobustLoss(LossKind.CAUCHY, -1.0)
+    with pytest.raises(ValueError):
+        cauchy_rho(1.0, math.inf)
+    with pytest.raises(ValueError):
+        RobustLoss(LossKind.CAUCHY, math.inf)
 
 
 def test_loss_scale_must_be_positive_for_every_kind():
@@ -263,3 +267,22 @@ def test_rejected_step_spiral_still_ends():
     # x0, the 8 rejected steps of 1 / (1 + lam) for lam = 1e-4 ... 1e3,
     # and the one rejected sub-tolerance step at lam = 1e4.
     assert report.evaluations == 10
+
+
+def test_damping_limit_is_numerical_failure():
+    # Every pose but the start has an infinite residual, so every trial is
+    # rejected. The steps, 1e120 / (1 + lam), never fall below the
+    # tolerance, so only the damping limit ends the solve.
+    x0 = Pose4.identity()
+
+    def provider(pose):
+        r = np.array([1e120 if pose == x0 else math.inf])
+        return r, np.array([[1.0, 0.0, 0.0, 0.0]])
+
+    report = solve_lm(provider, x0, RobustLoss(LossKind.NONE))
+    assert report.termination is Termination.NUMERICAL_FAILURE
+    assert not report.converged
+    # x0 and the rejected steps at lam = 0.1, 1, ..., 1e100.
+    assert report.evaluations == 102
+    assert report.iterations == 1
+    assert report.final_params == x0

@@ -56,6 +56,12 @@ def test_unknown_scene_kind():
         make_scene("sphere_world", 5.0, 10.0)
 
 
+@pytest.mark.parametrize("extent, density", [(math.inf, 10.0), (5.0, math.inf)])
+def test_scene_size_must_be_finite(extent, density):
+    with pytest.raises(ValueError, match="finite"):
+        make_scene("box_room", extent, density)
+
+
 def test_trajectory_two_steps():
     scene = make_scene("box_room", 8.0, 30.0, seed=8)
     poses = make_trajectory(scene, 2, 0.2, seed=1)
