@@ -9,13 +9,11 @@ harness. See README.md for the tour and FORMATS.md for file layouts.
 
 from .distance_field import (
     DfGrid,
-    DfSample,
     GridSpec,
     build_grid,
     fit_cell_coeffs,
     load_grid,
     plan_grid,
-    query,
     query_many,
     save_grid,
 )
@@ -33,7 +31,7 @@ from .geometry import (
     tilt_compensate,
     wrap_angle,
 )
-from .nnsearch import KdTree3, brute_force_distances, brute_force_nearest, build_index, nearest
+from .nnsearch import KdTree3, brute_force_distances, brute_force_nearest, build_index
 from .registration import (
     IcpOptions,
     IcpReport,

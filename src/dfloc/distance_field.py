@@ -11,11 +11,11 @@ corner, offsets in meters within [0, resolution]). The polynomial
 reproduces the 8 corner distances exactly and provides the analytic
 gradient the registration solver consumes.
 
-Queries outside the grid volume return value 0, gradient 0, inside=False
-instead of raising. The registration residual does not use that 0: it
-charges an off-volume point the grid's largest node distance
-(``DfGrid.max_distance``), so moving points off the map never lowers the
-cost.
+A query outside the grid volume does not raise: it returns the grid's
+largest node distance (``DfGrid.max_distance``), gradient 0 and
+inside=False. ``query_columns`` applies this one policy for every caller,
+so the registration residual charges an off-volume point no less than
+any in-volume one and moving points off the map never lowers its cost.
 """
 
 from __future__ import annotations
@@ -114,15 +114,6 @@ class GridSpec:
         """Boolean mask of points inside the closed grid volume."""
         pts = np.asarray(pts, dtype=np.float64)
         return ((pts >= self.origin) & (pts <= self.upper)).all(axis=-1)
-
-
-@dataclass(frozen=True)
-class DfSample:
-    """One distance-field lookup: interpolated value, gradient, in-volume flag."""
-
-    value: float
-    gradient: np.ndarray
-    inside: bool
 
 
 @dataclass(frozen=True)
@@ -251,22 +242,14 @@ def build_grid(cloud: PointCloud, spec: GridSpec, workers: int = -1) -> DfGrid:
 
 
 def query_many(grid: DfGrid, pts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Evaluate the field at an (N, 3) block of map-frame points.
+    """Evaluate the field at an (N, 3) block of map-frame points or one (3,) point.
 
     Returns (values, gradients, inside): values (N,), gradients (N, 3)
-    and the in-volume mask. Outside points get value 0 and gradient 0.
+    and the in-volume mask, without the N axis for a single point.
     """
     pts = np.asarray(pts, dtype=np.float64)
     value, gx, gy, gz, inside = query_columns(grid, pts[..., 0], pts[..., 1], pts[..., 2])
-    grad = np.empty(pts.shape)
-    grad[..., 0] = gx
-    grad[..., 1] = gy
-    grad[..., 2] = gz
-    if not inside.all():
-        outside = ~inside
-        value[outside] = 0.0
-        grad[outside] = 0.0
-    return value, grad, inside
+    return value, np.stack([gx, gy, gz], axis=-1), inside
 
 
 def query_columns(grid: DfGrid, qx, qy, qz):
@@ -274,10 +257,8 @@ def query_columns(grid: DfGrid, qx, qy, qz):
 
     This is the hot path shared by query_many and the registration
     residuals; it works on 1D coordinate arrays to avoid (N, 3)
-    intermediates and axis reductions. No column is masked: outside the
-    volume they hold the extrapolated polynomial of the nearest cell, and
-    each caller applies its own off-volume policy from ``inside``
-    (query_many: 0; registration residuals: ``max_distance``).
+    intermediates and axis reductions. It is the one place that decides
+    the field outside the volume: value ``grid.max_distance``, gradient 0.
     """
     spec = grid.spec
     res = spec.resolution
@@ -304,13 +285,13 @@ def query_columns(grid: DfGrid, qx, qy, qz):
     value = c0 + c1 * x + y * t2 + z * gz
     gy = t2 + z * t4
     gx = c1 + y * c4 + z * (c5 + y * c7)
+    if not inside.all():
+        zero = ~inside
+        value = np.where(zero, grid.max_distance, value)
+        gx = np.where(zero, 0.0, gx)
+        gy = np.where(zero, 0.0, gy)
+        gz = np.where(zero, 0.0, gz)
     return value, gx, gy, gz, inside
-
-
-def query(grid: DfGrid, x) -> DfSample:
-    """Evaluate the field at one map-frame point."""
-    value, grad, inside = query_many(grid, np.asarray(x, dtype=np.float64)[None, :])
-    return DfSample(float(value[0]), grad[0], bool(inside[0]))
 
 
 def save_grid(grid: DfGrid, path) -> None:

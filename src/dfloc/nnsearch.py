@@ -78,11 +78,6 @@ def build_index(points, leaf_size: int = LEAF_SIZE) -> KdTree3:
     return KdTree3(points, leaf_size=leaf_size)
 
 
-def nearest(index: KdTree3, q) -> tuple[np.ndarray, float]:
-    """Closest indexed point to ``q`` and its distance (exact, not approximate)."""
-    return index.nearest(q)
-
-
 def brute_force_nearest(points, q) -> tuple[np.ndarray, float]:
     """Linear-scan nearest neighbor; the independent oracle for KdTree3."""
     pts = _as_points(points)

@@ -115,8 +115,9 @@ def df_residuals(grid: DfGrid, body_points: np.ndarray) -> ResidualProvider:
 
     At pose T, residual i is DF(T p_i); the Jacobian row is the field
     gradient for the three translation columns and gradient . d(R_z p)/dyaw
-    for the yaw column. An out-of-volume point gets the constant residual
-    ``grid.max_distance`` (no smaller than any in-volume value) and a zero
+    for the yaw column. An out-of-volume point gets the field's off-volume
+    value from ``query_columns``, the constant ``grid.max_distance`` (no
+    smaller than any in-volume value), and a zero gradient, hence a zero
     Jacobian row: it pulls on no parameter, but leaving the grid never
     lowers the cost, so the solver cannot improve its objective by pushing
     points off the map. Since d(R_z p)/dyaw = (-ry, rx, 0)
@@ -135,12 +136,6 @@ def df_residuals(grid: DfGrid, body_points: np.ndarray) -> ResidualProvider:
         ry = s * px + c * py
         value, gx, gy, gz, inside = query_columns(grid, rx + pose.tx, ry + pose.ty, pz + pose.tz)
         jac = np.empty((pts.shape[0], 4))
-        if not inside.all():
-            zero = ~inside
-            value = np.where(zero, grid.max_distance, value)
-            gx = np.where(zero, 0.0, gx)
-            gy = np.where(zero, 0.0, gy)
-            gz = np.where(zero, 0.0, gz)
         jac[:, 0] = gx
         jac[:, 1] = gy
         jac[:, 2] = gz
@@ -217,29 +212,28 @@ def dll_register(
     return RegistrationResult(report.final_params, report, elapsed, used, len(cloud) - used, coarse)
 
 
-def align_4dof(source: np.ndarray, target: np.ndarray, weights: np.ndarray | None = None) -> Pose4:
-    """Closed-form weighted least-squares alignment of paired points.
+def align_4dof(source: np.ndarray, target: np.ndarray) -> Pose4:
+    """Closed-form least-squares alignment of paired points.
 
-    Returns the pose minimizing sum_i w_i ||R_z(yaw) src_i + t - dst_i||^2:
+    Returns the pose minimizing sum_i ||R_z(yaw) src_i + t - dst_i||^2:
     yaw from the planar correlation of centered pairs, translation from
-    the weighted centroids.
+    the centroids.
     """
     src = np.asarray(source, dtype=np.float64)
     dst = np.asarray(target, dtype=np.float64)
     if src.shape != dst.shape or src.ndim != 2 or src.shape[1] != 3:
         raise ValueError("source and target must be matching (N, 3) arrays")
-    if weights is None:
-        weights = np.ones(src.shape[0])
-    w = np.asarray(weights, dtype=np.float64)
-    total = w.sum()
-    if not total > 0.0:
-        raise ValueError("alignment needs a positive total weight")
-    src_c = (w @ src) / total
-    dst_c = (w @ dst) / total
+    n = src.shape[0]
+    if n == 0:
+        raise ValueError("alignment needs at least one point pair")
+    # On (N, 3) arrays a product with ones is about ten times faster than mean(axis=0).
+    ones = np.ones(n)
+    src_c = (ones @ src) / n
+    dst_c = (ones @ dst) / n
     sp = src - src_c
     tp = dst - dst_c
-    corr = (w * (sp[:, 0] * tp[:, 0] + sp[:, 1] * tp[:, 1])).sum()
-    cross = (w * (sp[:, 0] * tp[:, 1] - sp[:, 1] * tp[:, 0])).sum()
+    corr = (sp[:, 0] * tp[:, 0] + sp[:, 1] * tp[:, 1]).sum()
+    cross = (sp[:, 0] * tp[:, 1] - sp[:, 1] * tp[:, 0]).sum()
     yaw = math.atan2(cross, corr) if (cross != 0.0 or corr != 0.0) else 0.0
     t = dst_c - rotate_z(yaw, src_c)
     return Pose4(t[0], t[1], t[2], yaw)

@@ -196,8 +196,8 @@ def make_trajectory(scene: Scene, steps: int, step_length: float, seed: int = 0)
     """
     if steps < 2:
         raise ValueError("a trajectory needs at least 2 steps")
-    if not step_length > 0.0:
-        raise ValueError("step_length must be positive")
+    if not 0.0 < step_length < math.inf:
+        raise ValueError(f"step_length must be positive and finite, got {step_length}")
     buffer = TRAJECTORY_CLEARANCE + 0.1
     lo = scene.bounds[0] + buffer
     hi = scene.bounds[1] - buffer

@@ -19,7 +19,6 @@ from dfloc.distance_field import (
     fit_cell_coeffs,
     load_grid,
     plan_grid,
-    query,
     query_many,
     save_grid,
 )
@@ -183,14 +182,14 @@ def test_query_at_nodes_returns_stored_values(small_grid):
     assert np.abs(vals - small_grid.node_distances.ravel()[pick]).max() < 1e-9
 
 
-def test_query_outside_grid_is_zero(small_grid):
-    s = query(small_grid, small_grid.spec.origin - 1.0)
-    assert s.value == 0.0 and not s.inside and np.abs(s.gradient).max() == 0.0
+def test_query_outside_grid_is_max_distance(small_grid):
+    value, grad, inside = query_many(small_grid, small_grid.spec.origin - 1.0)
+    assert value == small_grid.max_distance and not inside and np.abs(grad).max() == 0.0
 
 
 def test_query_on_upper_boundary_is_inside(small_grid):
-    s = query(small_grid, small_grid.spec.upper)
-    assert s.inside
+    _, _, inside = query_many(small_grid, small_grid.spec.upper)
+    assert inside
 
 
 def test_gradient_matches_finite_differences(small_grid):
@@ -205,12 +204,12 @@ def test_gradient_matches_finite_differences(small_grid):
         if (frac * spec.resolution < 1e-4).any() or ((1 - frac) * spec.resolution < 1e-4).any():
             continue
         count += 1
-        s = query(small_grid, p)
+        _, grad, _ = query_many(small_grid, p)
         for axis in range(3):
             e = np.zeros(3)
             e[axis] = h
-            fd = (query(small_grid, p + e).value - query(small_grid, p - e).value) / (2 * h)
-            assert abs(s.gradient[axis] - fd) < 1e-5
+            fd = (query_many(small_grid, p + e)[0] - query_many(small_grid, p - e)[0]) / (2 * h)
+            assert abs(grad[axis] - fd) < 1e-5
 
 
 def test_interpolation_error_bound(small_scene, small_grid):

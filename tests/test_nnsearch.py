@@ -9,13 +9,12 @@ from dfloc.nnsearch import (
     brute_force_distances,
     brute_force_nearest,
     build_index,
-    nearest,
 )
 
 
 def test_single_point_tree():
     index = build_index(np.array([[1.0, 2.0, 3.0]]))
-    p, d = nearest(index, [4.0, 6.0, 3.0])
+    p, d = index.nearest([4.0, 6.0, 3.0])
     assert np.allclose(p, [1.0, 2.0, 3.0])
     assert d == pytest.approx(5.0)
 
@@ -24,7 +23,7 @@ def test_cube_corners_zero_distance():
     corners = np.array([[x, y, z] for x in (0.0, 1.0) for y in (0.0, 1.0) for z in (0.0, 1.0)])
     index = build_index(corners)
     for c in corners:
-        _, d = nearest(index, c)
+        _, d = index.nearest(c)
         assert d == 0.0
 
 

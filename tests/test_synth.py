@@ -68,6 +68,13 @@ def test_trajectory_two_steps():
     assert len(poses) == 2
 
 
+@pytest.mark.parametrize("step_length", [0.0, -1.0, math.inf, math.nan])
+def test_trajectory_step_length_must_be_positive_and_finite(step_length):
+    scene = make_scene("box_room", 8.0, 30.0, seed=8)
+    with pytest.raises(ValueError, match="step_length"):
+        make_trajectory(scene, 2, step_length, seed=1)
+
+
 def test_trajectory_step_norms_within_band():
     scene = make_scene("box_room", 10.0, 30.0, seed=9)
     poses = make_trajectory(scene, 60, 0.2, seed=2)
