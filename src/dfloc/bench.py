@@ -8,8 +8,8 @@ Modes reproduce the robustness protocol:
   the stored increments.
 * ``largenoise`` - same with 0.5 m per axis and 0.1 rad yaw.
 
-A run is flagged diverged when a step fails outright, produces a
-non-finite pose, or lands more than DIVERGENCE_RADIUS from ground truth.
+A run is flagged diverged when a step fails outright or lands more than
+DIVERGENCE_RADIUS from ground truth.
 Per-scan times are taken strictly around the registration call; the
 offline grid / index build is never included.
 """
@@ -21,12 +21,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .distance_field import DfGrid
-from .evaluation import BenchRow, estimate_rows, rmse_translation, rmse_yaw
-from .formats import TrajectoryRow, ground_truth_rows
+from .evaluation import BenchRow, rmse_translation, rmse_yaw
+from .formats import RunConfig, TrajectoryRow, TrajectorySource, ground_truth_rows
 from .geometry import PointCloud, Pose4
 from .nnsearch import KdTree3
-from .registration import IcpOptions, RegistrationResult, dll_register, icp_register
-from .solver import RobustLoss, SolverOptions
+from .registration import RegistrationResult, dll_register, icp_register
 from .synth import NoiseSetup, ScenarioRun, corrupt_odometry
 from .tracker import ScanFrame, TrackStepError, advance, init_tracker
 
@@ -67,13 +66,11 @@ class TrackingRun:
     mode: str
     rows: list[TrajectoryRow]
     step_times: np.ndarray
-    diverged: bool
     divergence_step: int | None
 
-
-def _diverged_pose(pose: Pose4, truth: Pose4) -> bool:
-    err = np.linalg.norm(pose.translation - truth.translation)
-    return not np.isfinite(pose.as_array()).all() or err > DIVERGENCE_RADIUS
+    @property
+    def diverged(self) -> bool:
+        return self.divergence_step is not None
 
 
 def run_tracking(
@@ -82,15 +79,14 @@ def run_tracking(
     mode: str,
     grid: DfGrid | None = None,
     map_index: KdTree3 | None = None,
-    loss: RobustLoss = RobustLoss(),
-    solver_opts: SolverOptions = SolverOptions(),
-    icp_opts: IcpOptions = IcpOptions(),
-    seed: int = 0,
+    cfg: RunConfig = RunConfig(),
 ) -> TrackingRun:
     """Track every frame of a scenario; returns estimates, timings, divergence.
 
     The tracker starts from the true initial pose. ``grid`` is required
-    for the field method, ``map_index`` for the ICP baseline.
+    for the field method, ``map_index`` for the ICP baseline. ``cfg``
+    supplies the loss, the solver and ICP options, and the seed of the
+    mode's odometry noise.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method '{method}' (expected one of {METHODS})")
@@ -98,34 +94,31 @@ def run_tracking(
         raise ValueError("the field method needs a distance-field grid")
     if method == "icp" and map_index is None:
         raise ValueError("the icp baseline needs a map index")
-    frames = mode_frames(scenario, mode, seed)
-    timestamps = [f.timestamp for f in frames]
-    attitudes = [f.attitude for f in frames]
-    poses: list[Pose4] = []
-    times: list[float] = []
-    diverged = False
-    divergence_step: int | None = None
 
     def register(body: PointCloud, guess: Pose4) -> RegistrationResult:
         if method == "dll":
-            return dll_register(body, grid, guess, loss, solver_opts)
-        return icp_register(body, map_index, guess, icp_opts)
+            return dll_register(body, grid, guess, cfg.loss, cfg.solver)
+        return icp_register(body, map_index, guess, cfg.icp)
 
+    rows: list[TrajectoryRow] = []
+    times: list[float] = []
+    divergence_step: int | None = None
     state = init_tracker(scenario.ground_truth[0])
-    for k, frame in enumerate(frames):
+    for k, frame in enumerate(mode_frames(scenario, mode, cfg.seed)):
         try:
             state = advance(state, frame, register)
         except TrackStepError:
-            diverged, divergence_step = True, k
+            divergence_step = k
             break
-        poses.append(state.current_pose)
+        p, a = state.current_pose, frame.attitude
+        rows.append(
+            TrajectoryRow(frame.timestamp, p.tx, p.ty, p.tz, a.roll, a.pitch, p.yaw, TrajectorySource.ESTIMATE)
+        )
         times.append(state.last_result.elapsed)
-        if _diverged_pose(state.current_pose, scenario.ground_truth[k]):
-            diverged, divergence_step = True, k
+        if np.linalg.norm(p.translation - scenario.ground_truth[k].translation) > DIVERGENCE_RADIUS:
+            divergence_step = k
             break
-
-    rows = estimate_rows(timestamps[: len(poses)], poses, attitudes[: len(poses)])
-    return TrackingRun(method, mode, rows, np.array(times), diverged, divergence_step)
+    return TrackingRun(method, mode, rows, np.array(times), divergence_step)
 
 
 def bench_row(run: TrackingRun, scenario: ScenarioRun) -> BenchRow:
@@ -141,28 +134,11 @@ def bench_row(run: TrackingRun, scenario: ScenarioRun) -> BenchRow:
 
 
 def run_benchmark(
-    scenario: ScenarioRun,
-    grid: DfGrid,
-    map_index: KdTree3,
-    loss: RobustLoss = RobustLoss(),
-    solver_opts: SolverOptions = SolverOptions(),
-    icp_opts: IcpOptions = IcpOptions(),
-    seed: int = 0,
+    scenario: ScenarioRun, grid: DfGrid, map_index: KdTree3, cfg: RunConfig = RunConfig()
 ) -> list[BenchRow]:
-    """Run every method under every odometry mode and summarize each."""
-    rows = []
-    for method in METHODS:
-        for mode in MODES:
-            run = run_tracking(
-                scenario,
-                method,
-                mode,
-                grid=grid,
-                map_index=map_index,
-                loss=loss,
-                solver_opts=solver_opts,
-                icp_opts=icp_opts,
-                seed=seed,
-            )
-            rows.append(bench_row(run, scenario))
-    return rows
+    """Run every method under every odometry mode with ``cfg`` and summarize each."""
+    return [
+        bench_row(run_tracking(scenario, method, mode, grid, map_index, cfg), scenario)
+        for method in METHODS
+        for mode in MODES
+    ]

@@ -14,6 +14,7 @@ import logging
 import os
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 from . import bench, evaluation, formats
@@ -42,10 +43,22 @@ def _stage(name: str, fn, *args, **kwargs):
         raise StageError(name, exc) from exc
 
 
-def _load_config(path: str | None) -> formats.RunConfig:
-    if path is None:
-        return formats.RunConfig()
-    return _stage("load-config", formats.load_config, path)
+def _load_config(args) -> formats.RunConfig:
+    cfg = formats.RunConfig() if args.config is None else _stage("load-config", formats.load_config, args.config)
+    return cfg if args.seed is None else _stage("load-config", replace, cfg, seed=args.seed)
+
+
+def _read_grid(path, scenario):
+    """Load a .df grid, warning when it does not cover the scenario's volume."""
+    grid = _stage("read-grid", load_grid, path)
+    spec = grid.spec
+    lo, hi = scenario.scene.bounds
+    if (lo < spec.origin - 1e-9).any() or (hi > spec.upper + 1e-9).any():
+        log.warning(
+            "scenario volume [%s, %s] is not fully covered by the grid [%s, %s]",
+            lo, hi, spec.origin, spec.upper,
+        )
+    return grid
 
 
 def cmd_build_df(args) -> int:
@@ -66,9 +79,8 @@ def cmd_build_df(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    cfg = _load_config(args.config)
-    seed = cfg.seed if args.seed is None else args.seed
-    scene = _stage("make-scene", make_scene, cfg.sim.scene_kind, cfg.sim.extent, cfg.sim.density, seed)
+    cfg = _load_config(args)
+    scene = _stage("make-scene", make_scene, cfg.sim.scene_kind, cfg.sim.extent, cfg.sim.density, cfg.seed)
     scenario = _stage(
         "make-scenario",
         make_scenario,
@@ -77,7 +89,7 @@ def cmd_simulate(args) -> int:
         cfg.sim.step_length,
         cfg.sim.scan,
         cfg.noise,
-        seed,
+        cfg.seed,
         cfg.sim.frame_dt,
     )
     _stage("write-scenario", formats.save_scenario, scenario, args.out)
@@ -85,39 +97,15 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _check_volume(scenario, grid) -> None:
-    spec = grid.spec
-    lo, hi = scenario.scene.bounds
-    if (lo < spec.origin - 1e-9).any() or (hi > spec.upper + 1e-9).any():
-        log.warning(
-            "scenario volume [%s, %s] is not fully covered by the grid [%s, %s]",
-            lo, hi, spec.origin, spec.upper,
-        )
-
-
 def cmd_localize(args) -> int:
-    cfg = _load_config(args.config)
-    seed = cfg.seed if args.seed is None else args.seed
+    cfg = _load_config(args)
     scenario = _stage("read-scenario", formats.load_scenario, args.scenario)
     grid = map_index = None
     if args.method == "icp":
-        map_index = build_index(scenario.scene.map)
+        map_index = _stage("build-map-index", build_index, scenario.scene.map)
     elif args.grid is not None:
-        grid = _stage("read-grid", load_grid, args.grid)
-        _check_volume(scenario, grid)
-    run = _stage(
-        "track",
-        bench.run_tracking,
-        scenario,
-        args.method,
-        args.mode,
-        grid=grid,
-        map_index=map_index,
-        loss=cfg.loss,
-        solver_opts=cfg.solver,
-        icp_opts=cfg.icp,
-        seed=seed,
-    )
+        grid = _read_grid(args.grid, scenario)
+    run = _stage("track", bench.run_tracking, scenario, args.method, args.mode, grid, map_index, cfg)
     _stage("write-trajectory", formats.write_trajectory, run.rows, args.out)
     if args.timing_out:
         _stage("write-timing", formats.write_step_times, run.step_times, args.timing_out)
@@ -128,23 +116,11 @@ def cmd_localize(args) -> int:
 
 
 def cmd_benchmark(args) -> int:
-    cfg = _load_config(args.config)
-    seed = cfg.seed if args.seed is None else args.seed
+    cfg = _load_config(args)
     scenario = _stage("read-scenario", formats.load_scenario, args.scenario)
-    grid = _stage("read-grid", load_grid, args.grid)
-    _check_volume(scenario, grid)
+    grid = _read_grid(args.grid, scenario)
     map_index = _stage("build-map-index", build_index, scenario.scene.map)
-    rows = _stage(
-        "benchmark",
-        bench.run_benchmark,
-        scenario,
-        grid,
-        map_index,
-        loss=cfg.loss,
-        solver_opts=cfg.solver,
-        icp_opts=cfg.icp,
-        seed=seed,
-    )
+    rows = _stage("benchmark", bench.run_benchmark, scenario, grid, map_index, cfg)
     _stage("write-report", evaluation.write_report, rows, args.out)
     timing_out = args.timing_out or (str(Path(args.out).with_suffix("")) + "_timing.csv")
     _stage("write-timing", evaluation.write_timing, rows, timing_out)

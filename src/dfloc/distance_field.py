@@ -294,15 +294,18 @@ def query_columns(grid: DfGrid, qx, qy, qz):
     return value, gx, gy, gz, inside
 
 
+# After the magic: version, origin, resolution, margin, cell counts.
+_HEADER_FMT = "<I3ddd3Q"
+_HEADER_SIZE = len(GRID_MAGIC) + struct.calcsize(_HEADER_FMT)
+
+
 def save_grid(grid: DfGrid, path) -> None:
     """Write a grid to the binary .df layout (see FORMATS.md)."""
     spec = grid.spec
     header = GRID_MAGIC + struct.pack(
-        "<I3ddd3Q",
+        _HEADER_FMT,
         GRID_VERSION,
-        float(spec.origin[0]),
-        float(spec.origin[1]),
-        float(spec.origin[2]),
+        *spec.origin,
         spec.resolution,
         spec.margin,
         spec.nx,
@@ -313,10 +316,6 @@ def save_grid(grid: DfGrid, path) -> None:
         fh.write(header)
         grid.node_distances.astype("<f8", copy=False).tofile(fh)
         grid.coeffs.astype("<f8", copy=False).tofile(fh)
-
-
-_HEADER_FMT = "<I3ddd3Q"
-_HEADER_SIZE = len(GRID_MAGIC) + struct.calcsize(_HEADER_FMT)
 
 
 def load_grid(path) -> DfGrid:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .formats import TrajectoryRow, TrajectorySource, write_csv
+from .formats import write_csv
 from .geometry import wrap_angle
 
 
@@ -93,11 +93,3 @@ def write_report(rows, path) -> None:
 def write_timing(rows, path) -> None:
     """Write the per-scan timing companion table (wall-clock, not reproducible)."""
     write_csv(path, TIMING_HEADER, ([r.method, r.mode, _cell(r.dt_mean), _cell(r.dt_dev)] for r in rows))
-
-
-def estimate_rows(timestamps, poses, attitudes) -> list[TrajectoryRow]:
-    """Package tracker output, with each frame's IMU attitude, as rows tagged 'estimate'."""
-    return [
-        TrajectoryRow(t, p.tx, p.ty, p.tz, a.roll, a.pitch, p.yaw, TrajectorySource.ESTIMATE)
-        for t, p, a in zip(timestamps, poses, attitudes)
-    ]

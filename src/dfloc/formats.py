@@ -282,6 +282,10 @@ class RunConfig:
     sim: SimOptions = field(default_factory=SimOptions)
     seed: int = 0
 
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
+
 
 # Config key -> attribute path in RunConfig. Defaults and constraints live
 # on the option dataclasses; a value is parsed by the type of its default.
@@ -328,7 +332,7 @@ def _with_value(obj, path: str, text: str):
 
 
 def parse_keyvalues(text: str, path="<config>") -> dict[str, str]:
-    """Parse flat ``key = value`` lines with '#' comments into a dict."""
+    """Parse flat ``key = value`` lines with '#' comments into a dict; a repeated key raises."""
     out: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
@@ -336,8 +340,10 @@ def parse_keyvalues(text: str, path="<config>") -> dict[str, str]:
             continue
         if "=" not in body:
             raise ConfigError(f"{path}: line {lineno}: expected 'key = value', got '{body}'")
-        key, value = body.split("=", 1)
-        out[key.strip()] = value.strip()
+        key, value = (part.strip() for part in body.split("=", 1))
+        if key in out:
+            raise ConfigError(f"{path}: line {lineno}: key '{key}' given twice")
+        out[key] = value
     return out
 
 

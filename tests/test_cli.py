@@ -140,6 +140,17 @@ def test_bad_config_is_stage_error(tmp_path, capsys):
     assert "load-config" in capsys.readouterr().err
 
 
+def test_negative_seed_is_refused_at_load_config(workspace, tmp_path, capsys):
+    root, cfg = workspace
+    code = main([
+        "localize", "--grid", str(root / "g.df"), "--scenario", str(root / "scn"),
+        "--mode", "midnoise", "--config", str(cfg), "--seed", "-1", "--out", str(tmp_path / "est.csv"),
+    ])
+    assert code == 2
+    assert "error: load-config: " in capsys.readouterr().err
+    assert not (tmp_path / "est.csv").exists()
+
+
 def test_shipped_example_config_end_to_end(tmp_path):
     # build-df then localize round trip on the shipped example config,
     # scaled down via overrides that keep the file authoritative otherwise

@@ -239,7 +239,7 @@ CONSTRAINT_VIOLATIONS = {
     "scan.max_range": ["0", "nan", "inf"],
     "scan.noise_sigma": ["-0.01", "nan", "inf"],
     "scan.outlier_fraction": ["-0.1", "1.5", "nan", "inf"],
-    "seed": ["1.5"],
+    "seed": ["1.5", "-1"],
 }
 
 
@@ -291,6 +291,11 @@ def test_config_file_parsing(tmp_path):
 def test_keyvalue_syntax_error(tmp_path):
     with pytest.raises(ConfigError, match="line 1"):
         parse_keyvalues("this is not a pair", "<test>")
+
+
+def test_keyvalue_repeated_key_is_refused():
+    with pytest.raises(ConfigError, match="line 3: key 'loss.scale'"):
+        parse_keyvalues("loss.scale = 0.1\n# again\nloss.scale = 5\n", "<test>")
 
 
 def test_scenario_bundle_round_trip(tmp_path):
@@ -347,12 +352,13 @@ def _set_field(column, value):
         ("scenario.txt", lambda d: _replace_line(d / "scenario.txt", 4, lambda _: "bounds.min = 0 0 0 0")),
         ("scenario.txt", lambda d: _replace_line(d / "scenario.txt", 5, lambda _: "bounds.max = 9 9 nan")),
         ("scenario.txt", lambda d: _replace_line(d / "scenario.txt", 1, lambda _: "noise.sigma_t = inf")),
+        ("scenario.txt", lambda d: _replace_line(d / "scenario.txt", 1, lambda _: "seed = 4")),
         ("frames.csv", lambda d: _replace_line(d / "frames.csv", 2, _set_field(5, "nan"))),
         ("frames.csv", lambda d: _replace_line(d / "frames.csv", 3, _set_field(0, "0"))),
         ("map.cld", lambda d: (d / "map.cld").unlink()),
         ("scans/000001.cld", lambda d: (d / "scans" / "000001.cld").unlink()),
     ],
-    ids=["meta-line-without-equals", "bounds-with-4-numbers", "nan-bound", "inf-sigma", "nan-roll",
+    ids=["meta-line-without-equals", "bounds-with-4-numbers", "nan-bound", "inf-sigma", "repeated-key", "nan-roll",
          "non-increasing-times", "missing-map", "missing-scan"],
 )
 def test_malformed_bundle_member_is_scenario_format_error(bundle, member, spoil):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from dfloc import bench, tracker
+from dfloc.formats import RunConfig
 from dfloc.geometry import Attitude, Frame, OdomDelta, PointCloud, Pose4, compose, tilt_compensate
 from dfloc.nnsearch import build_index
 from dfloc.registration import icp_register
@@ -160,7 +161,9 @@ def test_largenoise_tracking_keeps_the_scan_on_the_map(small_grid, largenoise_sc
     # pushing the scan out of the grid. On this scenario that made seed 1
     # diverge at step 39 (a fine solve "converged" at tz = -1.26 m, below
     # the grid) and left seeds 2-5 at rmse_t 0.13-0.26 m instead of 0.0016 m.
-    run = bench.run_tracking(largenoise_scenario, "dll", "largenoise", grid=small_grid, seed=seed)
+    run = bench.run_tracking(
+        largenoise_scenario, "dll", "largenoise", grid=small_grid, cfg=RunConfig(seed=seed)
+    )
     row = bench.bench_row(run, largenoise_scenario)
     assert not run.diverged, f"diverged at step {run.divergence_step}"
     assert row.rmse_t < 0.005
@@ -182,6 +185,6 @@ def test_dll_tracking_stays_within_an_evaluation_budget(monkeypatch, small_grid,
 
     monkeypatch.setattr(bench, "dll_register", spy)
     for mode in bench.MODES:
-        run = bench.run_tracking(largenoise_scenario, "dll", mode, grid=small_grid, seed=0)
+        run = bench.run_tracking(largenoise_scenario, "dll", mode, grid=small_grid, cfg=RunConfig(seed=0))
         assert not run.diverged, f"{mode} diverged at step {run.divergence_step}"
     assert np.mean(evaluations) <= 17.0, f"{np.mean(evaluations):.2f} evaluations per scan"
