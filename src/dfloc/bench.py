@@ -32,10 +32,7 @@ from .tracker import ScanFrame, TrackStepError, advance, init_tracker
 MODES = ("baseline", "noodom", "midnoise", "largenoise")
 METHODS = ("dll", "icp")
 
-MID_NOISE_SIGMA_T = 0.25
-MID_NOISE_SIGMA_YAW = 0.05
-LARGE_NOISE_SIGMA_T = 0.5
-LARGE_NOISE_SIGMA_YAW = 0.1
+MODE_NOISE = {"midnoise": NoiseSetup(0.25, 0.05), "largenoise": NoiseSetup(0.5, 0.1)}
 
 # Translation error beyond which a run counts as diverged.
 DIVERGENCE_RADIUS = 5.0
@@ -50,11 +47,7 @@ def mode_frames(scenario: ScenarioRun, mode: str, seed: int) -> tuple[ScanFrame,
         return frames
     if mode == "noodom":
         return tuple(replace(f, odom=None) for f in frames)
-    if mode == "midnoise":
-        setup = NoiseSetup(MID_NOISE_SIGMA_T, MID_NOISE_SIGMA_YAW, seed)
-    else:
-        setup = NoiseSetup(LARGE_NOISE_SIGMA_T, LARGE_NOISE_SIGMA_YAW, seed)
-    noisy = corrupt_odometry([f.odom for f in frames], setup)
+    noisy = corrupt_odometry([f.odom for f in frames], MODE_NOISE[mode], seed)
     return tuple(replace(f, odom=d) for f, d in zip(frames, noisy))
 
 

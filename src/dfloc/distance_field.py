@@ -172,21 +172,22 @@ def plan_grid(cloud: PointCloud, resolution: float = 0.05, margin: float = 1.0) 
     return replace(spec, nx=nx, ny=ny, nz=nz)
 
 
-def fit_cell_coeffs(corner_distances, resolution: float) -> np.ndarray:
-    """Closed-form trilinear coefficients from 8 cell-corner values.
+def fit_cell_coeffs(nodes, resolution: float) -> np.ndarray:
+    """Closed-form trilinear coefficients of every cell of a node lattice.
 
-    Corners are ordered x fastest, then y, then z:
-    (0,0,0), (1,0,0), (0,1,0), (1,1,0), (0,0,1), (1,0,1), (0,1,1), (1,1,1).
-    Accepts a stack of shape (..., 8) and returns coefficients of the same
-    shape, in cell-local metric coordinates.
+    ``nodes`` holds distances on an (a + 1, b + 1, c + 1) lattice indexed
+    [x, y, z]; the result has shape (a, b, c, 8), in cell-local metric
+    coordinates. Cell (i, j, k) is fitted from the 8 nodes at
+    (i + di, j + dj, k + dk) for di, dj, dk in {0, 1}.
     """
-    d = np.asarray(corner_distances, dtype=np.float64)
-    if d.shape[-1] != 8:
-        raise ValueError(f"expected 8 corner values on the last axis, got shape {d.shape}")
+    d = np.asarray(nodes, dtype=np.float64)
+    if d.ndim != 3:
+        raise ValueError(f"expected a 3-D node lattice, got shape {d.shape}")
     r = float(resolution)
     r2, r3 = r * r, r * r * r
-    d000, d100, d010, d110, d001, d101, d011, d111 = np.moveaxis(d, -1, 0)
-    out = np.empty_like(d)
+    d000, d100, d010, d110 = d[:-1, :-1, :-1], d[1:, :-1, :-1], d[:-1, 1:, :-1], d[1:, 1:, :-1]
+    d001, d101, d011, d111 = d[:-1, :-1, 1:], d[1:, :-1, 1:], d[:-1, 1:, 1:], d[1:, 1:, 1:]
+    out = np.empty(d000.shape + (8,))
     out[..., 0] = d000
     out[..., 1] = (d100 - d000) / r
     out[..., 2] = (d010 - d000) / r
@@ -205,7 +206,7 @@ def build_grid(cloud: PointCloud, spec: GridSpec, workers: int = -1) -> DfGrid:
     nearest-neighbor queries (-1 = all cores). The lattice is filled in
     slabs of whole x planes (``SLAB_NODES`` nodes), and each slab's cells
     are fitted as soon as both of their x planes are known, so only one
-    slab's coordinates, corner stack and coefficients are held at a time.
+    slab's coordinates and coefficients are held at a time.
     The result is bitwise independent of the worker count and slab size.
     """
     if len(cloud) == 0:
@@ -223,21 +224,7 @@ def build_grid(cloud: PointCloud, spec: GridSpec, workers: int = -1) -> DfGrid:
         nodes[x0:x1] = dist.reshape(x1 - x0, ny + 1, nz + 1)
         # Cell i spans node planes i and i + 1: cells before plane x1 - 1 are now complete.
         c0 = max(x0 - 1, 0)
-        block = nodes[c0:x1]
-        corners = np.stack(
-            [
-                block[:-1, :-1, :-1],
-                block[1:, :-1, :-1],
-                block[:-1, 1:, :-1],
-                block[1:, 1:, :-1],
-                block[:-1, :-1, 1:],
-                block[1:, :-1, 1:],
-                block[:-1, 1:, 1:],
-                block[1:, 1:, 1:],
-            ],
-            axis=-1,
-        )
-        coeffs[c0 : x1 - 1] = fit_cell_coeffs(corners, spec.resolution)
+        coeffs[c0 : x1 - 1] = fit_cell_coeffs(nodes[c0:x1], spec.resolution)
     return DfGrid(spec, nodes, coeffs)
 
 

@@ -13,10 +13,7 @@ import enum
 import math
 import os
 import struct
-from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
-from functools import partial
-from itertools import count
 from pathlib import Path
 
 import numpy as np
@@ -367,14 +364,16 @@ def load_config(path) -> RunConfig:
 # -- scenario bundles ---------------------------------------------------------
 
 SCENARIO_META = "scenario.txt"
-FRAMES_HEADER = "t,dtx,dty,dtz,dyaw,roll,pitch,scan"
-SCAN_PATH = "scans/{:06d}.cld"  # row k of frames.csv names scan k
+SCENARIO_KEYS = ("bounds.min", "bounds.max")
+FRAMES_HEADER = "t,dtx,dty,dtz,dyaw,roll,pitch"
+SCAN_PATH = "scans/{:06d}.cld"  # row k of frames.csv is scan k
 
 
 def ground_truth_rows(run: ScenarioRun) -> list[TrajectoryRow]:
-    """The scenario's true poses as trajectory rows, one per frame."""
+    """The scenario's true poses, with each frame's attitude, as trajectory rows."""
     return [
-        TrajectoryRow(f.timestamp, p.tx, p.ty, p.tz, 0.0, 0.0, p.yaw, TrajectorySource.GROUND_TRUTH)
+        TrajectoryRow(f.timestamp, p.tx, p.ty, p.tz, f.attitude.roll, f.attitude.pitch, p.yaw,
+                      TrajectorySource.GROUND_TRUTH)
         for p, f in zip(run.ground_truth, run.frames)
     ]
 
@@ -383,36 +382,22 @@ def save_scenario(run: ScenarioRun, directory) -> None:
     """Write a scenario bundle: metadata, map, ground truth, frame table, scans."""
     directory = Path(directory)
     (directory / "scans").mkdir(parents=True, exist_ok=True)
-    b = run.scene.bounds
-    meta = [
-        f"seed = {run.seed}",
-        f"noise.sigma_t = {run.noise.sigma_t:.12g}",
-        f"noise.sigma_yaw = {run.noise.sigma_yaw:.12g}",
-        f"noise.seed = {run.noise.seed}",
-        f"bounds.min = {b[0, 0]:.12g} {b[0, 1]:.12g} {b[0, 2]:.12g}",
-        f"bounds.max = {b[1, 0]:.12g} {b[1, 1]:.12g} {b[1, 2]:.12g}",
-    ]
+    meta = [f"{key} = {' '.join(_digits12(*corner))}" for key, corner in zip(SCENARIO_KEYS, run.scene.bounds)]
     (directory / SCENARIO_META).write_text("\n".join(meta) + "\n", encoding="utf-8")
     write_cloud(run.scene.map, directory / "map.cld", binary=True)
     write_trajectory(ground_truth_rows(run), directory / "ground_truth.csv")
     rows = []
     for k, frame in enumerate(run.frames):
         d = frame.odom if frame.odom is not None else OdomDelta.zero()
-        scan = SCAN_PATH.format(k)
-        write_cloud(frame.cloud, directory / scan, binary=True)
+        write_cloud(frame.cloud, directory / SCAN_PATH.format(k), binary=True)
         att = frame.attitude
-        rows.append([*_digits12(frame.timestamp, d.dtx, d.dty, d.dtz, d.dyaw, att.roll, att.pitch), scan])
+        rows.append(_digits12(frame.timestamp, d.dtx, d.dty, d.dtz, d.dyaw, att.roll, att.pitch))
     write_csv(directory / "frames.csv", FRAMES_HEADER, rows)
 
 
-def _frame(directory: Path, row_index: Iterator[int], fields: list[str]) -> ScanFrame:
-    expected = SCAN_PATH.format(next(row_index))
-    t, dtx, dty, dtz, dyaw, roll, pitch = (float(v) for v in fields[:7])
-    scan = fields[7].strip()
-    if scan != expected:
-        raise ValueError(f"scan path '{scan}' is not '{expected}'")
-    cloud = read_cloud(directory / scan, Frame.SENSOR)
-    return ScanFrame(cloud, Attitude(roll, pitch), OdomDelta(dtx, dty, dtz, dyaw), t)
+def _frame_row(fields: list[str]) -> tuple[float, Attitude, OdomDelta]:
+    t, dtx, dty, dtz, dyaw, roll, pitch = (float(v) for v in fields)
+    return t, Attitude(roll, pitch), OdomDelta(dtx, dty, dtz, dyaw)
 
 
 def load_scenario(directory) -> ScenarioRun:
@@ -427,24 +412,24 @@ def load_scenario(directory) -> ScenarioRun:
         cloud = read_cloud(directory / member, Frame.MAP)
         member = SCENARIO_META  # read after the map, so that bounds unable to hold it name this file
         meta = parse_keyvalues(_read_text(directory / member, ScenarioFormatError), directory / member)
-        seed = int(meta.get("seed", "0"))
-        noise = NoiseSetup(
-            float(meta.get("noise.sigma_t", "0")),
-            float(meta.get("noise.sigma_yaw", "0")),
-            int(meta.get("noise.seed", "0")),
-        )
-        bounds = [[float(v) for v in meta[key].split()] for key in ("bounds.min", "bounds.max")]
+        if set(meta) != set(SCENARIO_KEYS):
+            raise ValueError(f"keys are {', '.join(meta) or 'none'}, expected exactly {', '.join(SCENARIO_KEYS)}")
+        bounds = [[float(v) for v in meta[key].split()] for key in SCENARIO_KEYS]
         if any(len(b) != 3 for b in bounds):
             raise ValueError("bounds.min and bounds.max take 3 numbers each")
         scene = Scene(cloud, np.array(bounds))
         member = "ground_truth.csv"
         poses = [r.pose() for r in read_trajectory(directory / member)]
         member = "frames.csv"
-        frames = read_csv(directory / member, FRAMES_HEADER, ScenarioFormatError,
-                          partial(_frame, directory, count()))
-        return ScenarioRun(scene, poses, frames, noise, seed)
+        rows = read_csv(directory / member, FRAMES_HEADER, ScenarioFormatError, _frame_row)
+        frames = []
+        for k, (t, attitude, odom) in enumerate(rows):
+            member = SCAN_PATH.format(k)
+            frames.append(ScanFrame(read_cloud(directory / member, Frame.SENSOR), attitude, odom, t))
+        member = "frames.csv"
+        return ScenarioRun(scene, poses, frames)
     except ScenarioFormatError:
         raise
-    except (OSError, KeyError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         where = str(directory / member)
         raise ScenarioFormatError(str(exc) if where in str(exc) else f"{where}: {exc}") from exc

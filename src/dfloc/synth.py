@@ -68,7 +68,6 @@ class NoiseSetup:
 
     sigma_t: float = 0.0
     sigma_yaw: float = 0.0
-    seed: int = 0
 
     def __post_init__(self):
         if not (0.0 <= self.sigma_t < math.inf and 0.0 <= self.sigma_yaw < math.inf):
@@ -99,15 +98,13 @@ class ScanModel:
 class ScenarioRun:
     """One benchmark unit: scene, ground truth, and the frames fed to a tracker.
 
-    Frame odometry carries the noise described by ``noise``; the noiseless
-    deltas recompose the ground-truth increments exactly.
+    Frame odometry carries whatever noise the scenario was simulated with;
+    the noiseless deltas recompose the ground-truth increments exactly.
     """
 
     scene: Scene
     ground_truth: tuple[Pose4, ...]
     frames: tuple[ScanFrame, ...]
-    noise: NoiseSetup
-    seed: int = 0
 
     def __post_init__(self):
         if len(self.ground_truth) != len(self.frames):
@@ -332,14 +329,14 @@ def simulate_scan(
     return PointCloud(sensor, Frame.SENSOR)
 
 
-def corrupt_odometry(true_deltas, setup: NoiseSetup) -> list[OdomDelta]:
+def corrupt_odometry(true_deltas, setup: NoiseSetup, seed: int) -> list[OdomDelta]:
     """Add per-component Gaussian noise to odometry increments.
 
     sigma_t applies to each translation axis, sigma_yaw to the yaw
     increment; zero sigmas return the inputs bit for bit. Deterministic
-    per setup.seed.
+    per ``seed``.
     """
-    rng = np.random.default_rng(setup.seed)
+    rng = np.random.default_rng(seed)
     scale = np.array([setup.sigma_t, setup.sigma_t, setup.sigma_t, setup.sigma_yaw])
     out = []
     for d in true_deltas:
@@ -368,8 +365,7 @@ def make_scenario(
     traj_seed, att_seed, noise_seed, scan_root = root.spawn(4)
     poses = make_trajectory(scene, steps, step_length, seed=traj_seed.generate_state(1)[0])
     att_rng = np.random.default_rng(att_seed)
-    applied_noise = NoiseSetup(noise.sigma_t, noise.sigma_yaw, int(noise_seed.generate_state(1)[0]))
-    deltas = corrupt_odometry(true_odometry(poses), applied_noise)
+    deltas = corrupt_odometry(true_odometry(poses), noise, int(noise_seed.generate_state(1)[0]))
     scan_seeds = [int(s.generate_state(1)[0]) for s in scan_root.spawn(steps)]
     frames = []
     for k, pose in enumerate(poses):
@@ -379,4 +375,4 @@ def make_scenario(
         )
         cloud = simulate_scan(scene, pose, att, model, seed=scan_seeds[k])
         frames.append(ScanFrame(cloud, att, deltas[k], k * frame_dt))
-    return ScenarioRun(scene, tuple(poses), tuple(frames), applied_noise, seed)
+    return ScenarioRun(scene, tuple(poses), tuple(frames))

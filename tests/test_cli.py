@@ -185,13 +185,8 @@ def test_volume_mismatch_warns(workspace, tmp_path, caplog):
     import logging
 
     root, cfg = workspace
-    # grid built over a tiny sub-volume of the scenario
+    # grid built over a clipped sub-volume of the scenario's map
     sub = tmp_path / "small.df"
-    assert main([
-        "build-df", "--map", str(root / "scn" / "map.cld"),
-        "--resolution", "0.5", "--margin", "0.0", "--out", str(sub),
-    ]) == 0
-    # shrink: build from a clipped cloud instead
     from dfloc.formats import read_cloud, write_cloud
     from dfloc.geometry import PointCloud
 

@@ -38,6 +38,12 @@ def _corner_offsets(res):
     )
 
 
+def _fit_corners(corners, res):
+    # corners x fastest, then y, then z -> the one cell of a 2x2x2 [x, y, z] lattice
+    lattice = np.asarray(corners, dtype=np.float64).reshape(2, 2, 2).transpose(2, 1, 0)
+    return fit_cell_coeffs(lattice, res)[0, 0, 0]
+
+
 def test_plan_grid_exact_tiling():
     spec = plan_grid(UNIT_CUBE, 0.5, margin=0.0)
     assert (spec.nx, spec.ny, spec.nz) == (2, 2, 2)
@@ -57,7 +63,7 @@ def test_plan_grid_degenerate_map():
 
 
 def test_fit_constant_corners():
-    coeffs = fit_cell_coeffs(np.full(8, 3.25), 0.5)
+    coeffs = _fit_corners(np.full(8, 3.25), 0.5)
     assert coeffs[0] == pytest.approx(3.25)
     assert np.abs(coeffs[1:]).max() == 0.0
 
@@ -65,7 +71,7 @@ def test_fit_constant_corners():
 def test_fit_linear_in_x():
     res = 0.5
     corners = _corner_offsets(res)[:, 0]  # distance equals local x coordinate
-    coeffs = fit_cell_coeffs(corners, res)
+    coeffs = _fit_corners(corners, res)
     assert coeffs[1] == pytest.approx(1.0)
     assert abs(coeffs[0]) < 1e-12 and np.abs(coeffs[2:]).max() < 1e-12
 
@@ -80,7 +86,7 @@ def test_fit_matches_linear_solve_oracle():
     for _ in range(50):
         corners = rng.uniform(0, 4, size=8)
         expected = np.linalg.solve(design, corners)
-        got = fit_cell_coeffs(corners, res)
+        got = _fit_corners(corners, res)
         assert np.abs(got - expected).max() < 1e-9
 
 

@@ -11,6 +11,8 @@ import pytest
 from dfloc.formats import (
     CLOUD_MAGIC,
     CONFIG_KEYS,
+    FRAMES_HEADER,
+    SCENARIO_KEYS,
     CloudFormatError,
     CloudParseError,
     CloudValueError,
@@ -308,7 +310,6 @@ def test_scenario_bundle_round_trip(tmp_path):
     save_scenario(scenario, out)
     back = load_scenario(out)
     assert len(back.frames) == len(scenario.frames)
-    assert back.noise.sigma_t == pytest.approx(scenario.noise.sigma_t)
     assert np.allclose(back.scene.bounds, scenario.scene.bounds)
     for fa, fb in zip(scenario.frames, back.frames):
         assert fb.timestamp == pytest.approx(fa.timestamp, abs=1e-9)
@@ -319,6 +320,29 @@ def test_scenario_bundle_round_trip(tmp_path):
         assert np.abs(fb.cloud.points - fa.cloud.points).max() < 1e-5
     for pa, pb in zip(scenario.ground_truth, back.ground_truth):
         assert np.abs(pa.as_array() - pb.as_array()).max() < 1e-9
+
+
+def test_ground_truth_records_the_frame_attitude(tmp_path):
+    scene = make_scene("box_room", 6.0, 20.0, seed=74)
+    scenario = make_scenario(scene, 4, 0.2, ScanModel(max_range=10, points=50), NoiseSetup(), seed=2)
+    save_scenario(scenario, tmp_path)
+    rows = read_trajectory(tmp_path / "ground_truth.csv")
+    assert len(rows) == len(scenario.frames)
+    for row, frame in zip(rows, scenario.frames):
+        assert row.roll == pytest.approx(frame.attitude.roll, abs=1e-9)
+        assert row.pitch == pytest.approx(frame.attitude.pitch, abs=1e-9)
+
+
+def _formats_md_bundle_section() -> str:
+    text = (Path(__file__).resolve().parents[1] / "FORMATS.md").read_text(encoding="utf-8")
+    return text.split("## Scenario bundle", 1)[1].split("\n## ", 1)[0]
+
+
+def test_formats_md_bundle_section_matches_the_bundle_layout():
+    section = _formats_md_bundle_section()
+    assert FRAMES_HEADER in section
+    for key in SCENARIO_KEYS:
+        assert f"`{key}`" in section, key
 
 
 def test_scenario_missing_meta(tmp_path):
@@ -341,6 +365,10 @@ def _replace_line(path, lineno, edit):
     path.write_text("\n".join(lines) + "\n")
 
 
+def _append_line(path, line):
+    path.write_text(path.read_text() + line + "\n")
+
+
 def _set_field(column, value):
     return lambda line: ",".join(value if i == column else v for i, v in enumerate(line.split(",")))
 
@@ -349,17 +377,18 @@ def _set_field(column, value):
     "member, spoil",
     [
         ("scenario.txt", lambda d: (d / "scenario.txt").write_text("seed 3\n")),
-        ("scenario.txt", lambda d: _replace_line(d / "scenario.txt", 4, lambda _: "bounds.min = 0 0 0 0")),
-        ("scenario.txt", lambda d: _replace_line(d / "scenario.txt", 5, lambda _: "bounds.max = 9 9 nan")),
-        ("scenario.txt", lambda d: _replace_line(d / "scenario.txt", 1, lambda _: "noise.sigma_t = inf")),
-        ("scenario.txt", lambda d: _replace_line(d / "scenario.txt", 1, lambda _: "seed = 4")),
+        ("scenario.txt", lambda d: _replace_line(d / "scenario.txt", 0, lambda _: "bounds.min = 0 0 0 0")),
+        ("scenario.txt", lambda d: _replace_line(d / "scenario.txt", 1, lambda _: "bounds.max = 9 9 nan")),
+        ("scenario.txt", lambda d: _append_line(d / "scenario.txt", "bounds.min = 0 0 0")),
+        ("scenario.txt", lambda d: _append_line(d / "scenario.txt", "bounds.mid = 0 0 0")),
+        ("scenario.txt", lambda d: _replace_line(d / "scenario.txt", 1, lambda _: "")),
         ("frames.csv", lambda d: _replace_line(d / "frames.csv", 2, _set_field(5, "nan"))),
         ("frames.csv", lambda d: _replace_line(d / "frames.csv", 3, _set_field(0, "0"))),
         ("map.cld", lambda d: (d / "map.cld").unlink()),
         ("scans/000001.cld", lambda d: (d / "scans" / "000001.cld").unlink()),
     ],
-    ids=["meta-line-without-equals", "bounds-with-4-numbers", "nan-bound", "inf-sigma", "repeated-key", "nan-roll",
-         "non-increasing-times", "missing-map", "missing-scan"],
+    ids=["meta-line-without-equals", "bounds-with-4-numbers", "nan-bound", "repeated-key", "unknown-key",
+         "missing-key", "nan-roll", "non-increasing-times", "missing-map", "missing-scan"],
 )
 def test_malformed_bundle_member_is_scenario_format_error(bundle, member, spoil):
     spoil(bundle)
@@ -368,18 +397,12 @@ def test_malformed_bundle_member_is_scenario_format_error(bundle, member, spoil)
     assert info.value.__cause__ is not None
 
 
-@pytest.mark.parametrize("scan", ["absolute", "../outside.cld", "scans/../../outside.cld"])
-def test_load_scenario_refuses_scan_paths_outside_the_bundle(bundle, scan):
-    outside = bundle.parent / "outside.cld"
-    write_cloud(PointCloud(np.ones((20, 3)), Frame.SENSOR), outside, binary=True)
-    scan = str(outside) if scan == "absolute" else scan
-    _replace_line(bundle / "frames.csv", 1, _set_field(7, scan))
-    with pytest.raises(ScenarioFormatError, match="line 2: scan path"):
-        load_scenario(bundle)
-
-
-def test_load_scenario_refuses_another_frames_scan(bundle):
-    # Row k must name its own scan: frame 2 may not load frame 0's cloud.
-    _replace_line(bundle / "frames.csv", 3, _set_field(7, "scans/000000.cld"))
-    with pytest.raises(ScenarioFormatError, match=re.escape("line 4: scan path 'scans/000000.cld'")):
+def test_load_scenario_refuses_a_bundle_with_the_old_scan_column(bundle):
+    # Older bundles named each row's scan in an eighth column; they are simulated again, not read.
+    write_cloud(PointCloud(np.ones((20, 3)), Frame.SENSOR), bundle.parent / "outside.cld", binary=True)
+    frames = bundle / "frames.csv"
+    lines = frames.read_text().splitlines()
+    old = [lines[0] + ",scan"] + [line + ",../outside.cld" for line in lines[1:]]
+    frames.write_text("\n".join(old) + "\n")
+    with pytest.raises(ScenarioFormatError, match="frames.csv: bad header"):
         load_scenario(bundle)

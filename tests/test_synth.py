@@ -175,14 +175,13 @@ def test_scan_requires_points_in_range():
 
 def test_corrupt_odometry_zero_sigma_identity():
     deltas = [OdomDelta(0.1, 0.0, -0.05, 0.02), OdomDelta(0.0, 0.2, 0.0, -0.1)]
-    out = corrupt_odometry(deltas, NoiseSetup(0.0, 0.0, seed=1))
+    out = corrupt_odometry(deltas, NoiseSetup(0.0, 0.0), seed=1)
     assert out == deltas
 
 
 def test_corrupt_odometry_statistics():
     deltas = [OdomDelta.zero()] * 4000
-    setup = NoiseSetup(0.25, 0.05, seed=2)
-    out = corrupt_odometry(deltas, setup)
+    out = corrupt_odometry(deltas, NoiseSetup(0.25, 0.05), seed=2)
     dt = np.array([[d.dtx, d.dty, d.dtz] for d in out])
     dy = np.array([d.dyaw for d in out])
     assert dt.std() == pytest.approx(0.25, rel=0.05)
@@ -191,8 +190,8 @@ def test_corrupt_odometry_statistics():
 
 def test_corrupt_odometry_deterministic():
     deltas = [OdomDelta(0.1, 0.05, 0.0, 0.01)] * 10
-    a = corrupt_odometry(deltas, NoiseSetup(0.5, 0.1, seed=3))
-    b = corrupt_odometry(deltas, NoiseSetup(0.5, 0.1, seed=3))
+    a = corrupt_odometry(deltas, NoiseSetup(0.5, 0.1), seed=3)
+    b = corrupt_odometry(deltas, NoiseSetup(0.5, 0.1), seed=3)
     assert a == b
 
 
