@@ -1,8 +1,8 @@
 """Distance-field grid: build, trilinear query with analytic gradient, file io.
 
 The field stores, on a fixed-resolution voxel lattice, the exact distance
-from each lattice node to the closest map point. Each cell additionally
-holds the 8 coefficients of the trilinear polynomial
+from each lattice node to the closest map point. Each cell's 8 corner
+nodes determine the 8 coefficients of the trilinear polynomial
 
     f(x, y, z) = a0 + a1*x + a2*y + a3*z + a4*x*y + a5*x*z + a6*y*z + a7*x*y*z
 
@@ -23,7 +23,9 @@ from __future__ import annotations
 import math
 import os
 import struct
-from dataclasses import dataclass, field, replace
+import uuid
+from dataclasses import InitVar, dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -36,8 +38,8 @@ GRID_VERSION = 1
 # Largest lattice, in nodes, that a grid may have when planned or loaded.
 MAX_NODES = 1 << 33
 
-# Lattice nodes per build slab (whole x planes, at least one). The build's
-# peak memory is its output plus the working arrays of one slab.
+# Lattice nodes per slab (whole x planes, at least one) of a build or a fit.
+# Their peak memory is the node lattice plus the working arrays of one slab.
 SLAB_NODES = 1 << 16
 
 
@@ -116,40 +118,64 @@ class GridSpec:
         return ((pts >= self.origin) & (pts <= self.upper)).all(axis=-1)
 
 
+def _slabs(spec: GridSpec, planes: int) -> list[tuple[int, int]]:
+    """[start, stop) ranges that split ``planes`` x planes into slabs of ``SLAB_NODES`` nodes."""
+    step = max(1, SLAB_NODES // ((spec.ny + 1) * (spec.nz + 1)))
+    return [(x0, min(x0 + step, planes)) for x0 in range(0, planes, step)]
+
+
 @dataclass(frozen=True)
 class DfGrid:
     """Built distance field: node lattice plus per-cell trilinear coefficients.
 
-    node_distances has shape (nx+1, ny+1, nz+1); coeffs has shape
-    (nx, ny, nz, 8). Both are read-only after construction, so a grid can
-    serve any number of concurrent queries. ``max_distance`` is the largest
-    node distance, an upper bound of the field inside the volume, computed
-    once here.
+    node_distances has shape (nx+1, ny+1, nz+1). ``coeffs``, shape (nx, ny,
+    nz, 8), is the ``table`` passed in (``load_grid`` passes the stored one),
+    else it is fitted from the nodes, slab by slab, on first access and kept.
+    Both are read-only, so a grid can serve any number of concurrent queries;
+    racing first accesses at worst fit it twice. ``max_distance`` is the
+    largest node distance, an upper bound of the field inside the volume.
     """
 
     spec: GridSpec
     node_distances: np.ndarray
-    coeffs: np.ndarray
+    table: InitVar[np.ndarray | None] = None
     max_distance: float = field(init=False, repr=False)
 
-    def __post_init__(self):
+    def __post_init__(self, table):
         nodes = np.ascontiguousarray(np.asarray(self.node_distances, dtype=np.float64))
-        coeffs = np.ascontiguousarray(np.asarray(self.coeffs, dtype=np.float64))
         expect_nodes = (self.spec.nx + 1, self.spec.ny + 1, self.spec.nz + 1)
-        expect_cells = (self.spec.nx, self.spec.ny, self.spec.nz, 8)
         if nodes.shape != expect_nodes:
             raise ValueError(f"node lattice shape {nodes.shape} != {expect_nodes}")
-        if coeffs.shape != expect_cells:
-            raise ValueError(f"coefficient array shape {coeffs.shape} != {expect_cells}")
         if not np.isfinite(nodes).all() or (nodes < 0.0).any():
             raise ValueError("node distances must be finite and non-negative")
-        if not np.isfinite(coeffs).all():
-            raise ValueError("cell coefficients must be finite")
         nodes.setflags(write=False)
-        coeffs.setflags(write=False)
         object.__setattr__(self, "node_distances", nodes)
-        object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "max_distance", float(nodes.max()))
+        if table is not None:
+            coeffs = np.ascontiguousarray(np.asarray(table, dtype=np.float64))
+            expect_cells = (self.spec.nx, self.spec.ny, self.spec.nz, 8)
+            if coeffs.shape != expect_cells:
+                raise ValueError(f"coefficient array shape {coeffs.shape} != {expect_cells}")
+            if not np.isfinite(coeffs).all():
+                raise ValueError("cell coefficients must be finite")
+            coeffs.setflags(write=False)
+            self.__dict__["coeffs"] = coeffs  # the kept value of the cached property
+
+    def coeff_slabs(self):
+        """Yield the coefficient table by x slabs: slices of a kept table, else fitted from the nodes."""
+        table, spec = self.__dict__.get("coeffs"), self.spec
+        for c0, c1 in _slabs(spec, spec.nx):
+            if table is not None:
+                yield table[c0:c1]
+            else:
+                yield fit_cell_coeffs(self.node_distances[c0 : c1 + 1], spec.resolution)
+
+    @cached_property
+    def coeffs(self) -> np.ndarray:
+        planes = (plane for slab in self.coeff_slabs() for plane in slab)
+        table = np.fromiter(planes, np.dtype((np.float64, (self.spec.ny, self.spec.nz, 8))), self.spec.nx)
+        table.setflags(write=False)
+        return table
 
 
 def plan_grid(cloud: PointCloud, resolution: float = 0.05, margin: float = 1.0) -> GridSpec:
@@ -200,13 +226,13 @@ def fit_cell_coeffs(nodes, resolution: float) -> np.ndarray:
 
 
 def build_grid(cloud: PointCloud, spec: GridSpec, workers: int = -1) -> DfGrid:
-    """Compute exact nearest-map distances on the lattice and fit every cell.
+    """Compute exact nearest-map distances on the lattice; fit no cell.
 
     This is the expensive offline step; ``workers`` is forwarded to the
     nearest-neighbor queries (-1 = all cores). The lattice is filled in
-    slabs of whole x planes (``SLAB_NODES`` nodes), and each slab's cells
-    are fitted as soon as both of their x planes are known, so only one
-    slab's coordinates and coefficients are held at a time.
+    slabs of whole x planes (``SLAB_NODES`` nodes), so only one slab's
+    coordinates are held beside it. The grid's coefficient table is fitted
+    when first queried, or streamed slab by slab by ``save_grid``.
     The result is bitwise independent of the worker count and slab size.
     """
     if len(cloud) == 0:
@@ -216,16 +242,10 @@ def build_grid(cloud: PointCloud, spec: GridSpec, workers: int = -1) -> DfGrid:
     index = build_index(cloud, leaf_size=FIELD_LEAF_SIZE)
     nx, ny, nz = spec.nx, spec.ny, spec.nz
     nodes = np.empty((nx + 1, ny + 1, nz + 1))
-    coeffs = np.empty((nx, ny, nz, 8))
-    planes = max(1, SLAB_NODES // ((ny + 1) * (nz + 1)))
-    for x0 in range(0, nx + 1, planes):
-        x1 = min(x0 + planes, nx + 1)
+    for x0, x1 in _slabs(spec, nx + 1):
         _, dist = index.nearest_many(spec.node_coordinates(x0, x1), workers=workers)
         nodes[x0:x1] = dist.reshape(x1 - x0, ny + 1, nz + 1)
-        # Cell i spans node planes i and i + 1: cells before plane x1 - 1 are now complete.
-        c0 = max(x0 - 1, 0)
-        coeffs[c0 : x1 - 1] = fit_cell_coeffs(nodes[c0:x1], spec.resolution)
-    return DfGrid(spec, nodes, coeffs)
+    return DfGrid(spec, nodes)
 
 
 def query_many(grid: DfGrid, pts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -287,22 +307,27 @@ _HEADER_SIZE = len(GRID_MAGIC) + struct.calcsize(_HEADER_FMT)
 
 
 def save_grid(grid: DfGrid, path) -> None:
-    """Write a grid to the binary .df layout (see FORMATS.md)."""
+    """Write a grid to the binary .df layout (see FORMATS.md), replacing ``path`` atomically.
+
+    The table is streamed one ``DfGrid.coeff_slabs`` slab at a time into a sibling
+    temporary file, renamed over ``path`` once complete and removed on failure.
+    """
     spec = grid.spec
     header = GRID_MAGIC + struct.pack(
-        _HEADER_FMT,
-        GRID_VERSION,
-        *spec.origin,
-        spec.resolution,
-        spec.margin,
-        spec.nx,
-        spec.ny,
-        spec.nz,
+        _HEADER_FMT, GRID_VERSION, *spec.origin, spec.resolution, spec.margin, spec.nx, spec.ny, spec.nz
     )
-    with open(path, "wb") as fh:
-        fh.write(header)
-        grid.node_distances.astype("<f8", copy=False).tofile(fh)
-        grid.coeffs.astype("<f8", copy=False).tofile(fh)
+    tmp = f"{os.fspath(path)}.{uuid.uuid4().hex}.tmp"
+    fh = open(tmp, "xb")
+    try:
+        with fh:
+            fh.write(header)
+            grid.node_distances.astype("<f8", copy=False).tofile(fh)
+            for slab in grid.coeff_slabs():
+                slab.astype("<f8", copy=False).tofile(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def load_grid(path) -> DfGrid:

@@ -403,8 +403,8 @@ def _frame_row(fields: list[str]) -> tuple[float, Attitude, OdomDelta]:
 def load_scenario(directory) -> ScenarioRun:
     """Read a bundle written by save_scenario.
 
-    A missing or malformed member raises ScenarioFormatError naming it, with
-    the underlying error as its cause.
+    A missing or malformed member raises ScenarioFormatError naming it, with the underlying
+    error as its cause; ground_truth.csv is malformed where its t, roll or pitch differ from frames.csv.
     """
     directory = Path(directory)
     member = "map.cld"
@@ -419,15 +419,19 @@ def load_scenario(directory) -> ScenarioRun:
             raise ValueError("bounds.min and bounds.max take 3 numbers each")
         scene = Scene(cloud, np.array(bounds))
         member = "ground_truth.csv"
-        poses = [r.pose() for r in read_trajectory(directory / member)]
+        truth = read_trajectory(directory / member)
         member = "frames.csv"
         rows = read_csv(directory / member, FRAMES_HEADER, ScenarioFormatError, _frame_row)
+        member = "ground_truth.csv"
+        for k, (r, (t, attitude, _)) in enumerate(zip(truth, rows)):
+            if (r.timestamp, r.roll, r.pitch) != (t, attitude.roll, attitude.pitch):
+                raise ValueError(f"row {k}: t, roll or pitch differs from frames.csv")
         frames = []
         for k, (t, attitude, odom) in enumerate(rows):
             member = SCAN_PATH.format(k)
             frames.append(ScanFrame(read_cloud(directory / member, Frame.SENSOR), attitude, odom, t))
         member = "frames.csv"
-        return ScenarioRun(scene, poses, frames)
+        return ScenarioRun(scene, [r.pose() for r in truth], frames)
     except ScenarioFormatError:
         raise
     except (OSError, ValueError) as exc:

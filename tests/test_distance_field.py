@@ -1,6 +1,8 @@
 import math
 import struct
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -128,7 +130,7 @@ def _same_bits(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
-def test_build_independent_of_workers_and_slabs(monkeypatch):
+def test_build_independent_of_workers_and_slabs(monkeypatch, tmp_path):
     rng = np.random.default_rng(21)
     cloud = PointCloud(rng.uniform(0, 3, size=(300, 3)), Frame.MAP)
     spec = plan_grid(cloud, 0.25, margin=0.5)
@@ -137,13 +139,44 @@ def test_build_independent_of_workers_and_slabs(monkeypatch):
     reference = build_grid(cloud, spec, workers=1)
     oracle = brute_force_distances(cloud, spec.node_coordinates())
     assert _same_bits(reference.node_distances.ravel(), oracle)
+    save_grid(reference, tmp_path / "reference.df")
+    reference_bytes = (tmp_path / "reference.df").read_bytes()
     variants = [("workers=-1", distance_field.SLAB_NODES, -1), ("one plane", plane, 1),
                 ("half a plane", plane // 2, -1), ("5 planes", 5 * plane, 1)]
     for name, slab, workers in variants:
         monkeypatch.setattr(distance_field, "SLAB_NODES", slab)
         grid = build_grid(cloud, spec, workers=workers)
         assert _same_bits(grid.node_distances, reference.node_distances), name
+        save_grid(grid, tmp_path / f"{name}.df")
+        assert (tmp_path / f"{name}.df").read_bytes() == reference_bytes, name
         assert _same_bits(grid.coeffs, reference.coeffs), name
+    # The lazily fitted table is the one-shot fit of the whole lattice, and a
+    # materialized or loaded table saves to the same bytes as an untouched one.
+    assert _same_bits(reference.coeffs, fit_cell_coeffs(reference.node_distances, spec.resolution))
+    for name, grid in [("materialized", reference), ("loaded", load_grid(tmp_path / "reference.df"))]:
+        save_grid(grid, tmp_path / f"{name}.df")
+        assert (tmp_path / f"{name}.df").read_bytes() == reference_bytes, name
+
+
+def test_first_queries_from_many_threads_match_one_thread():
+    # Four threads race to fit a fresh grid's table on first use.
+    rng = np.random.default_rng(23)
+    cloud = PointCloud(rng.uniform(0, 3, size=(300, 3)), Frame.MAP)
+    spec = plan_grid(cloud, 0.1, margin=0.5)
+    pts = rng.uniform(spec.origin - 0.2, spec.upper + 0.2, size=(5000, 3))
+    value, grad, inside = query_many(build_grid(cloud, spec), pts)
+    fresh = build_grid(cloud, spec)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            futures = [pool.submit(query_many, fresh, pts) for _ in range(4)]
+            results = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for got_value, got_grad, got_inside in results:
+        assert _same_bits(got_value, value) and _same_bits(got_grad, grad)
+        assert np.array_equal(got_inside, inside)
 
 
 def test_node_coordinates_x_range_matches_full_lattice():
@@ -155,9 +188,10 @@ def test_node_coordinates_x_range_matches_full_lattice():
         assert _same_bits(spec.node_coordinates(x0, x1), full[x0 * plane : x1 * plane])
 
 
-def test_build_memory_bounded():
-    # 1.03 M nodes, many build slabs. A build that holds every node
-    # coordinate and the whole corner stack at once peaks near 2.3x.
+def test_build_memory_bounded(tmp_path):
+    # 1.03 M nodes, many build slabs. A build and save that hold only the
+    # node lattice and one slab peak near 2x the lattice; one that also
+    # holds the whole coefficient table peaks near 10x.
     rng = np.random.default_rng(22)
     cloud = PointCloud(rng.uniform(0, 1, size=(200, 3)), Frame.MAP)
     spec = GridSpec(np.zeros(3), 0.01, 100, 100, 100)
@@ -165,11 +199,35 @@ def test_build_memory_bounded():
     tracemalloc.start()
     try:
         grid = build_grid(cloud, spec)
+        save_grid(grid, tmp_path / "grid.df")
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    output = grid.node_distances.nbytes + grid.coeffs.nbytes
-    assert peak < 1.3 * output, f"peak {peak / 1e6:.1f} MB for {output / 1e6:.1f} MB of output"
+    nodes = grid.node_distances.nbytes
+    assert peak < 2.5 * nodes, f"peak {peak / 1e6:.1f} MB for {nodes / 1e6:.1f} MB of nodes"
+
+
+def test_save_grid_replaces_the_file_atomically(monkeypatch, tmp_path, small_scene):
+    spec = plan_grid(small_scene.map, 0.25, margin=0.5)
+    path = tmp_path / "grid.df"
+    save_grid(build_grid(small_scene.map, spec), path)
+    good = path.read_bytes()
+    monkeypatch.setattr(distance_field, "SLAB_NODES", (spec.ny + 1) * (spec.nz + 1))
+    fit, calls = distance_field.fit_cell_coeffs, []
+
+    def fail_second(*args):
+        calls.append(1)
+        if len(calls) == 2:
+            raise RuntimeError("simulated failure mid-save")
+        return fit(*args)
+
+    grid = build_grid(small_scene.map, spec)
+    monkeypatch.setattr(distance_field, "fit_cell_coeffs", fail_second)
+    with pytest.raises(RuntimeError, match="mid-save"):
+        save_grid(grid, path)
+    assert len(calls) == 2
+    assert path.read_bytes() == good
+    assert [p.name for p in tmp_path.iterdir()] == ["grid.df"]
 
 
 def test_build_requires_map_frame():

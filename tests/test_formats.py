@@ -384,11 +384,15 @@ def _set_field(column, value):
         ("scenario.txt", lambda d: _replace_line(d / "scenario.txt", 1, lambda _: "")),
         ("frames.csv", lambda d: _replace_line(d / "frames.csv", 2, _set_field(5, "nan"))),
         ("frames.csv", lambda d: _replace_line(d / "frames.csv", 3, _set_field(0, "0"))),
+        ("ground_truth.csv: row 1", lambda d: _replace_line(d / "ground_truth.csv", 2, _set_field(0, "7.5"))),
+        ("ground_truth.csv: row 1", lambda d: _replace_line(d / "ground_truth.csv", 2, _set_field(4, "1.2"))),
+        ("ground_truth.csv: row 2", lambda d: _replace_line(d / "ground_truth.csv", 3, _set_field(5, "-0.5"))),
         ("map.cld", lambda d: (d / "map.cld").unlink()),
         ("scans/000001.cld", lambda d: (d / "scans" / "000001.cld").unlink()),
     ],
     ids=["meta-line-without-equals", "bounds-with-4-numbers", "nan-bound", "repeated-key", "unknown-key",
-         "missing-key", "nan-roll", "non-increasing-times", "missing-map", "missing-scan"],
+         "missing-key", "nan-roll", "non-increasing-times",
+         "truth-time-differs", "truth-roll-differs", "truth-pitch-differs", "missing-map", "missing-scan"],
 )
 def test_malformed_bundle_member_is_scenario_format_error(bundle, member, spoil):
     spoil(bundle)
