@@ -277,10 +277,11 @@ def query_columns(grid: DfGrid, qx, qy, qz):
     inside = (
         (rx >= 0.0) & (rx <= nx) & (ry >= 0.0) & (ry <= ny) & (rz >= 0.0) & (rz <= nz)
     )
-    # Upper boundary folds into the last cell.
-    ix = np.clip(np.floor(rx).astype(np.int64), 0, nx - 1)
-    iy = np.clip(np.floor(ry).astype(np.int64), 0, ny - 1)
-    iz = np.clip(np.floor(rz).astype(np.int64), 0, nz - 1)
+    # Upper boundary folds into the last cell. In-place ufuncs clamp faster than
+    # np.clip; np.array keeps a single point a 0-d array, which out= needs.
+    ix, iy, iz = (np.array(np.floor(r), dtype=np.int64) for r in (rx, ry, rz))
+    for i, n in ((ix, nx), (iy, ny), (iz, nz)):
+        np.minimum(np.maximum(i, 0, out=i), n - 1, out=i)
     flat = (ix * ny + iy) * nz + iz
     c0, c1, c2, c3, c4, c5, c6, c7 = np.take(grid.coeffs.reshape(-1, 8), flat, axis=0).T
     x = qx - (ox + ix * res)

@@ -10,6 +10,16 @@ cheaper, so the build uses ``FIELD_LEAF_SIZE``. Returned distances are
 always recomputed from the winning point with the same expression
 ``brute_force_nearest`` uses, so the tree and the linear-scan oracle
 agree bit for bit whatever the leaf size.
+
+ICP's query points move a little on each iteration, so ``nearest_moving``
+asks the tree again only where the winner can have changed. A point queried
+at ``a`` keeps its winner ``w`` and its runner-up distance ``d2``. At ``b``,
+every other map point is at least ``d2 - |b - a|`` away (triangle
+inequality), so ``w`` still wins when ``|b - w| + |b - a| < d2 - TIE_GAP``;
+that holds whenever ``2 |b - a| < d2 - |a - w| - TIE_GAP``. Ties need a rule:
+within ``TIE_GAP``, cKDTree's ``k=2`` first column can differ from its ``k=1``
+answer, so a tied point takes its ``k=1`` winner and is never certified. A
+one-point map has no runner-up, so its winner always holds.
 """
 
 from __future__ import annotations
@@ -22,6 +32,8 @@ from .geometry import PointCloud
 LEAF_SIZE = 16
 # Chosen by a sweep of {32, 64, 128} on the benchmark's build workload (see CHANGES.md).
 FIELD_LEAF_SIZE = 64
+# Runner-up gaps (m) up to this are ties; certificates keep it as a margin over rounding.
+TIE_GAP = 1e-9
 
 
 def _as_points(points) -> np.ndarray:
@@ -65,12 +77,38 @@ class KdTree3:
         p = self.points[int(idx)]
         return p, float(_exact_distance(q, p))
 
-    def nearest_many(self, queries, workers: int = 1) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized nearest lookup for an (N, 3) query block."""
+    def nearest_many(self, queries, workers: int = 1, k: int = 1) -> tuple[np.ndarray, np.ndarray]:
+        """Vectorized lookup for an (N, 3) query block: with ``k=2``, nearest and runner-up on axis 1."""
         queries = np.asarray(queries, dtype=np.float64)
-        _, idx = self._tree.query(queries, k=1, workers=workers)
+        _, idx = self._tree.query(queries, k=k, workers=workers)
         winners = self.points[idx]
-        return winners, _exact_distance(queries, winners)
+        return winners, _exact_distance(queries if k == 1 else queries[:, None], winners)
+
+
+def nearest_moving(index: KdTree3, queries, held=None):
+    """``index.nearest_many(queries)``, bit for bit, for rows that move between calls.
+
+    ``held`` is what the previous call on the same rows returned last (None at
+    first); it is updated in place. Returns ``(winners, distances, held)``.
+    """
+    queries = np.asarray(queries, dtype=np.float64)
+    at, winners, reach = held or (np.zeros_like(queries), np.zeros_like(queries), np.zeros(len(queries)))
+    dist = _exact_distance(queries, winners)
+    stale = np.flatnonzero(~(dist + _exact_distance(queries, at) < reach))  # indices beat a mask here
+    if stale.size:
+        rows = queries[stale]
+        if len(index) == 1:
+            won, runner_up = index.nearest_many(rows)[0], np.inf
+        else:
+            pair, pair_dist = index.nearest_many(rows, k=2)
+            won, runner_up = pair[:, 0], pair_dist[:, 1] - TIE_GAP
+            tie = ~(pair_dist[:, 0] < runner_up)
+            if tie.any():
+                won[tie] = index.nearest_many(rows[tie])[0]
+                runner_up[tie] = 0.0
+        at[stale], winners[stale], reach[stale] = rows, won, runner_up
+        dist[stale] = _exact_distance(rows, won)
+    return winners.copy(), dist, (at, winners, reach)
 
 
 def build_index(points, leaf_size: int = LEAF_SIZE) -> KdTree3:

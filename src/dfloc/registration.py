@@ -35,7 +35,7 @@ from .geometry import (
     rotate_z,
     wrap_angle,
 )
-from .nnsearch import KdTree3
+from .nnsearch import KdTree3, nearest_moving
 from .solver import (
     LossKind,
     ResidualProvider,
@@ -257,12 +257,11 @@ def icp_register(
     pose = guess
     iterations = 0
     converged = False
-    cost = math.inf
-    n_used = 0
+    held = None
     for _ in range(opts.max_iterations):
         iterations += 1
         mapped = apply_pose(pose, pts)
-        matches, dist = map_index.nearest_many(mapped)
+        matches, dist, held = nearest_moving(map_index, mapped, held)
         keep = dist <= opts.max_correspondence_distance
         if not keep.any():
             raise NoCorrespondencesError(
@@ -270,15 +269,14 @@ def icp_register(
             )
         src, dst = pts[keep], matches[keep]
         new_pose = align_4dof(src, dst)
-        residual = apply_pose(new_pose, src) - dst
-        cost = float((residual**2).sum(axis=1).sum())
-        n_used = len(src)
         change = np.abs(new_pose.as_array() - pose.as_array())
         change[3] = abs(float(wrap_angle(new_pose.yaw - pose.yaw)))
         pose = new_pose
         if change.max() < opts.convergence_epsilon:
             converged = True
             break
+    cost = float(((apply_pose(pose, src) - dst) ** 2).sum(axis=1).sum())
+    n_used = len(src)
     elapsed = time.perf_counter() - start
     report = IcpReport(iterations, cost, converged, n_used)
     return RegistrationResult(pose, report, elapsed, n_used, len(cloud) - n_used)

@@ -12,9 +12,23 @@ import pytest
 
 from dfloc import distance_field as df
 from dfloc import synth
-from dfloc.nnsearch import build_index
+from dfloc.nnsearch import KdTree3, build_index
 
 ROOM_SEED = 11
+
+
+@pytest.fixture
+def tree_rows(monkeypatch):
+    """(rows, k) of each KdTree3.nearest_many call the test makes."""
+    rows = []
+    real = KdTree3.nearest_many
+
+    def spy(self, queries, workers=1, k=1):
+        rows.append((len(queries), k))
+        return real(self, queries, workers, k)
+
+    monkeypatch.setattr(KdTree3, "nearest_many", spy)
+    return rows
 
 
 @pytest.fixture(scope="session")

@@ -9,6 +9,7 @@ from dfloc.nnsearch import (
     brute_force_distances,
     brute_force_nearest,
     build_index,
+    nearest_moving,
 )
 
 
@@ -94,3 +95,77 @@ def test_index_accepts_cloud_and_arrays():
     a = KdTree3(pts)
     b = KdTree3(PointCloud(pts, Frame.MAP))
     assert len(a) == len(b) == 64
+
+
+def test_nearest_many_k2_returns_the_runner_up():
+    rng = np.random.default_rng(13)
+    pts = rng.uniform(0, 5, size=(2000, 3))
+    queries = rng.uniform(-1, 6, size=(500, 3))
+    winners, d = build_index(pts).nearest_many(queries, k=2)
+    assert winners.shape == (500, 2, 3) and d.shape == (500, 2)
+    assert np.array_equal(d[:, 0], brute_force_distances(pts, queries))
+    assert (d[:, 1] >= d[:, 0]).all()
+    assert np.array_equal(d[:, 1], np.sqrt(((queries - winners[:, 1]) ** 2).sum(axis=1)))
+
+
+def _walk_matches_fresh_queries(pts, queries, moves) -> None:
+    """Move ``queries`` by each of ``moves`` in turn; before every move the
+    reused answers must carry the bits of a fresh nearest_many call."""
+    index = build_index(pts)
+    held = None
+    for move in [*moves, None]:
+        winners, dist, held = nearest_moving(index, queries, held)
+        fresh_winners, fresh_dist = index.nearest_many(queries)
+        assert np.array_equal(winners.view(np.uint64), fresh_winners.view(np.uint64))
+        assert np.array_equal(dist.view(np.uint64), fresh_dist.view(np.uint64))
+        if move is not None:
+            queries = queries + move
+
+
+def test_nearest_moving_matches_fresh_queries_on_a_random_walk(tree_rows):
+    rng = np.random.default_rng(14)
+    pts = rng.uniform(0, 5, size=(3000, 3))
+    queries = rng.uniform(-0.5, 5.5, size=(400, 3))
+    # Steps shrink from a few centimetres to under a millimetre, as ICP's do.
+    moves = [rng.normal(scale=0.05 * 0.7**i, size=queries.shape) for i in range(15)]
+    _walk_matches_fresh_queries(pts, queries, moves)
+    reused = sum(n for n, k in tree_rows if k == 2)
+    assert 400 < reused < 16 * 400  # some rows were certified, some were not
+
+
+def test_nearest_moving_ties_take_the_k1_winner(tree_rows):
+    # Queries at cell centres and edge midpoints of a unit lattice are
+    # equidistant from 8 and 2 map points. Each integer move, some of them
+    # zero, is undone by the next, so the queries stay on those midpoints.
+    rng = np.random.default_rng(15)
+    pts = np.stack(np.meshgrid(*[np.arange(6.0)] * 3, indexing="ij"), axis=-1).reshape(-1, 3)
+    starts = rng.integers(1, 4, size=(300, 3)).astype(np.float64)
+    starts[:150] += 0.5
+    starts[150:, 0] += 0.5
+    moves = []
+    for _ in range(4):
+        move = rng.integers(-1, 2, size=starts.shape).astype(np.float64)
+        moves += [move, -move]
+    _walk_matches_fresh_queries(pts, starts, moves)
+    # Every call re-queried every tie with k=1: 9 walk calls and 9 fresh ones.
+    assert sum(n for n, k in tree_rows if k == 1) == 2 * 9 * 300
+
+
+def test_nearest_moving_on_a_one_point_map(tree_rows):
+    rng = np.random.default_rng(16)
+    queries = rng.normal(size=(50, 3))
+    moves = [rng.normal(scale=0.5, size=queries.shape) for _ in range(5)]
+    _walk_matches_fresh_queries(np.array([[1.0, -2.0, 0.5]]), queries, moves)
+    # No runner-up: after the first call the winner always holds.
+    assert sum(n for n, k in tree_rows) == 50 + 6 * 50
+
+
+def test_nearest_moving_skips_the_tree_when_nothing_moved(tree_rows):
+    rng = np.random.default_rng(17)
+    index = build_index(rng.uniform(0, 5, size=(1000, 3)))
+    queries = rng.uniform(0, 5, size=(200, 3))
+    first = nearest_moving(index, queries)
+    calls = len(tree_rows)
+    again = nearest_moving(index, queries, first[2])
+    assert len(tree_rows) == calls
+    assert np.array_equal(again[0], first[0]) and np.array_equal(again[1], first[1])

@@ -19,6 +19,7 @@ from dfloc.geometry import (
 from dfloc.nnsearch import build_index
 from dfloc.registration import (
     IcpOptions,
+    IcpReport,
     NoCorrespondencesError,
     UnobservableCloudError,
     align_4dof,
@@ -244,6 +245,49 @@ def test_icp_counts_add_up(small_scene):
     body = _scan_at(small_scene, true, seed=45, noise=0.0)
     res = icp_register(body, index, true)
     assert res.points_used + res.points_out_of_map == len(body)
+
+
+def _icp_every_point_every_iteration(cloud, index, guess, opts=IcpOptions()):
+    """ICP as first written: every point queried, and the cost taken, on every iteration."""
+    pts, pose = cloud.points, guess
+    for iterations in range(1, opts.max_iterations + 1):
+        matches, dist = index.nearest_many(apply_pose(pose, pts))
+        keep = dist <= opts.max_correspondence_distance
+        if not keep.any():
+            raise NoCorrespondencesError(iterations)
+        src, dst = pts[keep], matches[keep]
+        new_pose = align_4dof(src, dst)
+        cost = float(((apply_pose(new_pose, src) - dst) ** 2).sum(axis=1).sum())
+        change = np.abs(new_pose.as_array() - pose.as_array())
+        change[3] = abs(float(wrap_angle(new_pose.yaw - pose.yaw)))
+        pose = new_pose
+        if change.max() < opts.convergence_epsilon:
+            return pose, IcpReport(iterations, cost, True, len(src))
+    return pose, IcpReport(iterations, cost, False, len(src))
+
+
+@pytest.mark.parametrize("offset", [(0.0, 0.0, 0.0, 0.0), (0.05, -0.03, 0.04, 0.01), (0.3, 0.0, 0.0, 0.05),
+                                    (-0.2, 0.2, 0.1, -0.05)])
+def test_icp_results_are_those_of_querying_every_point(small_scene, offset):
+    index = build_index(small_scene.map)
+    true = Pose4(3.0, 2.5, 1.4, 0.2)
+    body = _scan_at(small_scene, true, seed=46, points=2000, noise=0.02)
+    guess = Pose4(*(true.as_array() + offset))
+    pose, report = _icp_every_point_every_iteration(body, index, guess)
+    res = icp_register(body, index, guess)
+    assert res.pose.as_array().tobytes() == pose.as_array().tobytes()
+    assert np.float64(res.report.final_cost).tobytes() == np.float64(report.final_cost).tobytes()
+    assert res.report == report
+    assert res.points_used == report.correspondences
+
+
+def test_icp_sends_fewer_rows_to_the_tree_than_it_has_points(tree_rows, small_scene):
+    index = build_index(small_scene.map)
+    true = Pose4(3.0, 2.5, 1.4, 0.2)
+    body = _scan_at(small_scene, true, seed=47, points=2000, noise=0.02)
+    res = icp_register(body, index, Pose4(true.tx + 0.05, true.ty - 0.03, true.tz, true.yaw + 0.01))
+    assert res.report.iterations > 3
+    assert sum(n for n, _ in tree_rows) < res.report.iterations * len(body)
 
 
 def _forbid_query_many(monkeypatch):
