@@ -22,7 +22,7 @@ import numpy as np
 
 from .distance_field import DfGrid
 from .evaluation import BenchRow, rmse_translation, rmse_yaw
-from .formats import RunConfig, TrajectoryRow, TrajectorySource, ground_truth_rows
+from .formats import RunConfig, TrajectoryRow, ground_truth_rows
 from .geometry import PointCloud, Pose4
 from .nnsearch import KdTree3
 from .registration import RegistrationResult, dll_register, icp_register
@@ -105,10 +105,8 @@ def run_tracking(
         except TrackStepError:
             divergence_step = k
             break
-        p, a = state.current_pose, frame.attitude
-        rows.append(
-            TrajectoryRow(frame.timestamp, p.tx, p.ty, p.tz, a.roll, a.pitch, p.yaw, TrajectorySource.ESTIMATE)
-        )
+        p = state.current_pose
+        rows.append(TrajectoryRow(frame.timestamp, p.tx, p.ty, p.tz, p.yaw))
         times.append(state.last_result.elapsed)
         if np.linalg.norm(p.translation - scenario.ground_truth[k].translation) > DIVERGENCE_RADIUS:
             divergence_step = k

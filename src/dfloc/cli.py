@@ -90,7 +90,6 @@ def cmd_simulate(args) -> int:
         cfg.sim.scan,
         cfg.noise,
         cfg.seed,
-        cfg.sim.frame_dt,
     )
     _stage("write-scenario", formats.save_scenario, scenario, args.out)
     print(f"wrote scenario with {len(scenario.frames)} frames to {args.out}")

@@ -112,11 +112,6 @@ class GridSpec:
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack(mesh, axis=-1).reshape(-1, 3)
 
-    def contains(self, pts: np.ndarray) -> np.ndarray:
-        """Boolean mask of points inside the closed grid volume."""
-        pts = np.asarray(pts, dtype=np.float64)
-        return ((pts >= self.origin) & (pts <= self.upper)).all(axis=-1)
-
 
 def _slabs(spec: GridSpec, planes: int) -> list[tuple[int, int]]:
     """[start, stop) ranges that split ``planes`` x planes into slabs of ``SLAB_NODES`` nodes."""

@@ -9,7 +9,6 @@ through read_csv and write_csv. Distance-field grid persistence lives in
 
 from __future__ import annotations
 
-import enum
 import math
 import os
 import struct
@@ -21,7 +20,7 @@ import numpy as np
 from .geometry import Attitude, Frame, OdomDelta, PointCloud, Pose4, wrap_angle
 from .registration import IcpOptions
 from .solver import RobustLoss, SolverOptions
-from .synth import FRAME_DT, SCENE_KINDS, NoiseSetup, ScanModel, Scene, ScenarioRun
+from .synth import SCENE_KINDS, NoiseSetup, ScanModel, Scene, ScenarioRun
 from .tracker import ScanFrame
 
 CLOUD_MAGIC = b"XYZCLD1\n"
@@ -165,38 +164,26 @@ def write_cloud(cloud: PointCloud, path, binary: bool = False) -> None:
             fh.write(f"{x:.9g} {y:.9g} {z:.9g}\n")
 
 
-class TrajectorySource(enum.Enum):
-    GROUND_TRUTH = "ground_truth"
-    ODOMETRY = "odometry"
-    ESTIMATE = "estimate"
-
-
 @dataclass(frozen=True)
 class TrajectoryRow:
-    """One timestamped pose sample with full orientation and provenance tag."""
+    """One timestamped 4-DOF pose sample."""
 
     timestamp: float
     tx: float
     ty: float
     tz: float
-    roll: float
-    pitch: float
     yaw: float
-    source: TrajectorySource
 
     def __post_init__(self):
-        vals = (self.timestamp, self.tx, self.ty, self.tz, self.roll, self.pitch, self.yaw)
-        if not all(math.isfinite(v) for v in vals):
+        if not all(math.isfinite(v) for v in (self.timestamp, self.tx, self.ty, self.tz, self.yaw)):
             raise ValueError("trajectory row contains non-finite values")
         object.__setattr__(self, "yaw", float(wrap_angle(self.yaw)))
-        if not isinstance(self.source, TrajectorySource):
-            object.__setattr__(self, "source", TrajectorySource(self.source))
 
     def pose(self) -> Pose4:
         return Pose4(self.tx, self.ty, self.tz, self.yaw)
 
 
-TRAJECTORY_HEADER = "t,tx,ty,tz,roll,pitch,yaw,source"
+TRAJECTORY_HEADER = "t,tx,ty,tz,yaw"
 
 
 def _digits12(*values: float) -> list[str]:
@@ -205,17 +192,11 @@ def _digits12(*values: float) -> list[str]:
 
 def write_trajectory(rows, path) -> None:
     """Write trajectory rows as CSV; values round-trip to better than 1e-9."""
-    write_csv(path, TRAJECTORY_HEADER, (
-        [*_digits12(r.timestamp, r.tx, r.ty, r.tz, r.roll, r.pitch, r.yaw), r.source.value] for r in rows
-    ))
+    write_csv(path, TRAJECTORY_HEADER, (_digits12(r.timestamp, r.tx, r.ty, r.tz, r.yaw) for r in rows))
 
 
 def _trajectory_row(fields: list[str]) -> TrajectoryRow:
-    values = [float(v) for v in fields[:7]]
-    source = fields[7].strip()
-    if source not in {s.value for s in TrajectorySource}:
-        raise ValueError(f"unknown source '{source}'")
-    return TrajectoryRow(*values, TrajectorySource(source))
+    return TrajectoryRow(*(float(v) for v in fields))
 
 
 def read_trajectory(path) -> list[TrajectoryRow]:
@@ -256,12 +237,11 @@ class SimOptions:
     steps: int = 100
     step_length: float = 0.15
     scan: ScanModel = field(default_factory=ScanModel)
-    frame_dt: float = FRAME_DT
 
     def __post_init__(self):
         if self.scene_kind not in SCENE_KINDS:
             raise ValueError(f"scene kind must be one of {SCENE_KINDS}")
-        for name in ("extent", "density", "step_length", "frame_dt"):
+        for name in ("extent", "density", "step_length"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite")
         if self.steps < 2:
@@ -293,8 +273,6 @@ CONFIG_KEYS = {
     "solver.param_tolerance": "solver.param_tolerance",
     "solver.cost_tolerance": "solver.cost_tolerance",
     "solver.initial_damping": "solver.initial_damping",
-    "solver.damping_increase": "solver.damping_increase",
-    "solver.damping_decrease": "solver.damping_decrease",
     "icp.max_iterations": "icp.max_iterations",
     "icp.max_correspondence_distance": "icp.max_correspondence_distance",
     "icp.convergence_epsilon": "icp.convergence_epsilon",
@@ -305,7 +283,6 @@ CONFIG_KEYS = {
     "scene.density": "sim.density",
     "trajectory.steps": "sim.steps",
     "trajectory.step_length": "sim.step_length",
-    "trajectory.frame_dt": "sim.frame_dt",
     "scan.points": "sim.scan.points",
     "scan.max_range": "sim.scan.max_range",
     "scan.noise_sigma": "sim.scan.noise_sigma",
@@ -370,12 +347,8 @@ SCAN_PATH = "scans/{:06d}.cld"  # row k of frames.csv is scan k
 
 
 def ground_truth_rows(run: ScenarioRun) -> list[TrajectoryRow]:
-    """The scenario's true poses, with each frame's attitude, as trajectory rows."""
-    return [
-        TrajectoryRow(f.timestamp, p.tx, p.ty, p.tz, f.attitude.roll, f.attitude.pitch, p.yaw,
-                      TrajectorySource.GROUND_TRUTH)
-        for p, f in zip(run.ground_truth, run.frames)
-    ]
+    """The scenario's true poses, at their frames' times, as trajectory rows."""
+    return [TrajectoryRow(f.timestamp, p.tx, p.ty, p.tz, p.yaw) for p, f in zip(run.ground_truth, run.frames)]
 
 
 def save_scenario(run: ScenarioRun, directory) -> None:
@@ -404,7 +377,7 @@ def load_scenario(directory) -> ScenarioRun:
     """Read a bundle written by save_scenario.
 
     A missing or malformed member raises ScenarioFormatError naming it, with the underlying
-    error as its cause; ground_truth.csv is malformed where its t, roll or pitch differ from frames.csv.
+    error as its cause; ground_truth.csv is malformed where its t differs from frames.csv.
     """
     directory = Path(directory)
     member = "map.cld"
@@ -423,9 +396,9 @@ def load_scenario(directory) -> ScenarioRun:
         member = "frames.csv"
         rows = read_csv(directory / member, FRAMES_HEADER, ScenarioFormatError, _frame_row)
         member = "ground_truth.csv"
-        for k, (r, (t, attitude, _)) in enumerate(zip(truth, rows)):
-            if (r.timestamp, r.roll, r.pitch) != (t, attitude.roll, attitude.pitch):
-                raise ValueError(f"row {k}: t, roll or pitch differs from frames.csv")
+        for k, (r, (t, _, _)) in enumerate(zip(truth, rows)):
+            if r.timestamp != t:
+                raise ValueError(f"row {k}: t differs from frames.csv")
         frames = []
         for k, (t, attitude, odom) in enumerate(rows):
             member = SCAN_PATH.format(k)

@@ -70,13 +70,6 @@ class KdTree3:
     def __len__(self) -> int:
         return self.points.shape[0]
 
-    def nearest(self, q) -> tuple[np.ndarray, float]:
-        """Closest stored point to ``q`` and its exact Euclidean distance."""
-        q = np.asarray(q, dtype=np.float64)
-        _, idx = self._tree.query(q, k=1)
-        p = self.points[int(idx)]
-        return p, float(_exact_distance(q, p))
-
     def nearest_many(self, queries, workers: int = 1, k: int = 1) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized lookup for an (N, 3) query block: with ``k=2``, nearest and runner-up on axis 1."""
         queries = np.asarray(queries, dtype=np.float64)

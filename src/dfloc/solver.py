@@ -27,6 +27,9 @@ ResidualProvider = Callable[[Pose4], tuple[np.ndarray, np.ndarray]]
 
 # Damping beyond this means no progress is numerically possible.
 _MAX_DAMPING = 1e100
+# Factors applied to the damping lam after a rejected / an accepted step.
+DAMPING_INCREASE = 10.0
+DAMPING_DECREASE = 0.5
 
 
 class LossKind(enum.Enum):
@@ -84,13 +87,15 @@ class RobustLoss:
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Iteration budget, stopping tolerances and damping schedule.
+    """Iteration budget, stopping tolerances and starting damping.
 
     ``param_tolerance`` stops a solve once the largest step component
     falls below it (meters or radians); 1e-4 is far below a field cell and
     the scan noise. ``initial_damping`` is the starting lam: 0.1 damps the
     first step of a solve that starts near its optimum, where an undamped
-    Gauss-Newton step tends to overshoot and be rejected. ``dll_register``
+    Gauss-Newton step tends to overshoot and be rejected; lam is then
+    scaled by DAMPING_DECREASE after each accepted step and by
+    DAMPING_INCREASE after each rejected one. ``dll_register``
     runs both of its passes under these options; its coarse pass only
     loosens the step tolerance to at least 1e-2 and widens the Cauchy
     kernel to 1.0.
@@ -100,8 +105,6 @@ class SolverOptions:
     param_tolerance: float = 1e-4
     cost_tolerance: float = 1e-8
     initial_damping: float = 0.1
-    damping_increase: float = 10.0
-    damping_decrease: float = 0.5
 
     def __post_init__(self):
         if self.max_iterations < 1:
@@ -109,10 +112,6 @@ class SolverOptions:
         for name in ("param_tolerance", "cost_tolerance", "initial_damping"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite")
-        if not 1.0 < self.damping_increase < math.inf:
-            raise ValueError("damping_increase must exceed 1 and be finite")
-        if not 0.0 < self.damping_decrease < 1.0:
-            raise ValueError("damping_decrease must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -215,13 +214,13 @@ def solve_lm(
                     x = pose_new.as_array()
                     pose, evaluation, r, jac, w = pose_new, trial, r_new, jac_new, w_new
                     cost = cost_new
-                    lam = max(lam * opts.damping_decrease, 1e-15)
+                    lam = max(lam * DAMPING_DECREASE, 1e-15)
                     if drop < opts.cost_tolerance * max(cost, 1e-300):
                         termination = Termination.COST_TOL
                     break
                 try_small = not small
             # A singular, non-finite or rejected step: damp harder.
-            lam *= opts.damping_increase
+            lam *= DAMPING_INCREASE
             if lam > _MAX_DAMPING:
                 termination = Termination.NUMERICAL_FAILURE
                 break

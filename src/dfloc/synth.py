@@ -352,7 +352,6 @@ def make_scenario(
     model: ScanModel,
     noise: NoiseSetup,
     seed: int = 0,
-    frame_dt: float = FRAME_DT,
 ) -> ScenarioRun:
     """Assemble a full tracking scenario over a prebuilt scene.
 
@@ -374,5 +373,5 @@ def make_scenario(
             float(np.clip(att_rng.normal(0.0, ATTITUDE_WOBBLE), -0.15, 0.15)),
         )
         cloud = simulate_scan(scene, pose, att, model, seed=scan_seeds[k])
-        frames.append(ScanFrame(cloud, att, deltas[k], k * frame_dt))
+        frames.append(ScanFrame(cloud, att, deltas[k], k * FRAME_DT))
     return ScenarioRun(scene, tuple(poses), tuple(frames))

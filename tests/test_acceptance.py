@@ -35,7 +35,6 @@ from dfloc.formats import (
     RunConfig,
     TrajectoryFormatError,
     TrajectoryRow,
-    TrajectorySource,
     config_from_dict,
     read_cloud,
     read_trajectory,
@@ -158,7 +157,7 @@ def test_criterion_3_gradient_checks(random_field):
         frac -= np.floor(frac)
         safe = (
             ((frac * spec.resolution > 5e-4) & ((1 - frac) * spec.resolution > 5e-4)).all(axis=1)
-            & spec.contains(mapped)
+            & query_many(grid, mapped)[2]
         )
         if safe.sum() < 10:
             continue
@@ -334,8 +333,7 @@ def test_criterion_9_round_trips_and_errors(tmp_path, small_grid):
 
     # trajectory: 1e-9 round trip plus error classes
     rows = [
-        TrajectoryRow(k * 0.1, *rng.uniform(-20, 20, 3), *rng.uniform(-1, 1, 2),
-                      rng.uniform(-math.pi, math.pi), TrajectorySource.ESTIMATE)
+        TrajectoryRow(k * 0.1, *rng.uniform(-20, 20, 3), rng.uniform(-math.pi, math.pi))
         for k in range(500)
     ]
     csv = tmp_path / "t.csv"
@@ -343,19 +341,19 @@ def test_criterion_9_round_trips_and_errors(tmp_path, small_grid):
     back = read_trajectory(csv)
     worst = max(
         max(abs(a.timestamp - b.timestamp), abs(a.tx - b.tx), abs(a.ty - b.ty),
-            abs(a.tz - b.tz), abs(a.roll - b.roll), abs(a.pitch - b.pitch), abs(a.yaw - b.yaw))
+            abs(a.tz - b.tz), abs(a.yaw - b.yaw))
         for a, b in zip(rows, back)
     )
     assert worst < 1e-9
     (tmp_path / "h.csv").write_text("nope\n")
     with pytest.raises(TrajectoryFormatError):
         read_trajectory(tmp_path / "h.csv")
-    (tmp_path / "cols.csv").write_text("t,tx,ty,tz,roll,pitch,yaw,source\n1,2\n")
+    (tmp_path / "cols.csv").write_text("t,tx,ty,tz,yaw\n1,2\n")
     with pytest.raises(TrajectoryFormatError):
         read_trajectory(tmp_path / "cols.csv")
-    (tmp_path / "src.csv").write_text("t,tx,ty,tz,roll,pitch,yaw,source\n0,0,0,0,0,0,0,oracle\n")
+    (tmp_path / "old.csv").write_text("t,tx,ty,tz,roll,pitch,yaw,source\n0,0,0,0,0,0,0,estimate\n")
     with pytest.raises(TrajectoryFormatError):
-        read_trajectory(tmp_path / "src.csv")
+        read_trajectory(tmp_path / "old.csv")
 
     # config: the documented error classes
     with pytest.raises(ConfigError):

@@ -56,8 +56,7 @@ def _cloud(n=4):
 
 def _trajectory(tmp_path):
     path = tmp_path / "traj.csv"
-    estimate = formats.TrajectorySource.ESTIMATE
-    rows = [formats.TrajectoryRow(0.1 * k, 1.0 + k, -2.5, 0.75, 0.01, -0.02, 0.3 * k, estimate) for k in range(3)]
+    rows = [formats.TrajectoryRow(0.1 * k, 1.0 + k, -2.5, 0.75, 0.3 * k) for k in range(3)]
     formats.write_trajectory(rows, path)
     return path, lambda: formats.read_trajectory(path), formats.TrajectoryFormatError
 

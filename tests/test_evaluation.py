@@ -4,27 +4,23 @@ import numpy as np
 import pytest
 
 from dfloc.evaluation import BenchRow, rmse_translation, rmse_yaw, write_report
-from dfloc.formats import TrajectoryRow, TrajectorySource
+from dfloc.formats import TrajectoryRow
 
 
-def _row(t, tx=0.0, ty=0.0, tz=0.0, yaw=0.0, source=TrajectorySource.ESTIMATE):
-    return TrajectoryRow(t, tx, ty, tz, 0.0, 0.0, yaw, source)
-
-
-def _gt(t, **kw):
-    return _row(t, source=TrajectorySource.GROUND_TRUTH, **kw)
+def _row(t, tx=0.0, ty=0.0, tz=0.0, yaw=0.0):
+    return TrajectoryRow(t, tx, ty, tz, yaw)
 
 
 def test_rmse_zero_for_identical():
     est = [_row(k * 0.1, tx=k) for k in range(10)]
-    gt = [_gt(k * 0.1, tx=k) for k in range(10)]
+    gt = [_row(k * 0.1, tx=k) for k in range(10)]
     assert rmse_translation(est, gt) == (0.0, 0.0)
     assert rmse_yaw(est, gt) == (0.0, 0.0)
 
 
 def test_rmse_constant_offset():
     est = [_row(k * 0.1, tx=k + 0.1) for k in range(20)]
-    gt = [_gt(k * 0.1, tx=k) for k in range(20)]
+    gt = [_row(k * 0.1, tx=k) for k in range(20)]
     rmse, dev = rmse_translation(est, gt)
     assert rmse == pytest.approx(0.1)
     assert dev == pytest.approx(0.0, abs=1e-12)
@@ -33,7 +29,7 @@ def test_rmse_constant_offset():
 def test_rmse_matches_direct_recomputation():
     rng = np.random.default_rng(80)
     errs = rng.normal(scale=0.05, size=(50, 3))
-    gt = [_gt(k * 0.1, tx=1.0 * k, ty=-0.5 * k, tz=0.2) for k in range(50)]
+    gt = [_row(k * 0.1, tx=1.0 * k, ty=-0.5 * k, tz=0.2) for k in range(50)]
     est = [
         _row(k * 0.1, tx=1.0 * k + errs[k, 0], ty=-0.5 * k + errs[k, 1], tz=0.2 + errs[k, 2])
         for k in range(50)
@@ -45,7 +41,7 @@ def test_rmse_matches_direct_recomputation():
 
 
 def test_rmse_yaw_wraps():
-    gt = [_gt(0.0, yaw=math.pi - 0.01)]
+    gt = [_row(0.0, yaw=math.pi - 0.01)]
     est = [_row(0.0, yaw=-math.pi + 0.01)]
     rmse, dev = rmse_yaw(est, gt)
     assert rmse == pytest.approx(0.02)
@@ -53,7 +49,7 @@ def test_rmse_yaw_wraps():
 
 
 def test_rmse_yaw_constant_offset():
-    gt = [_gt(k * 1.0, yaw=0.3) for k in range(10)]
+    gt = [_row(k * 1.0, yaw=0.3) for k in range(10)]
     est = [_row(k * 1.0, yaw=0.35) for k in range(10)]
     rmse, _ = rmse_yaw(est, gt)
     assert rmse == pytest.approx(0.05)
@@ -61,12 +57,12 @@ def test_rmse_yaw_constant_offset():
 
 def test_rmse_length_mismatch():
     with pytest.raises(ValueError, match="length"):
-        rmse_translation([_row(0.0)], [_gt(0.0), _gt(0.1)])
+        rmse_translation([_row(0.0)], [_row(0.0), _row(0.1)])
 
 
 def test_rmse_timestamp_mismatch():
     with pytest.raises(ValueError, match="timestamps"):
-        rmse_translation([_row(0.0)], [_gt(0.5)])
+        rmse_translation([_row(0.0)], [_row(0.5)])
 
 
 def test_bench_row_invariants():

@@ -21,7 +21,6 @@ from dfloc.formats import (
     ScenarioFormatError,
     TrajectoryFormatError,
     TrajectoryRow,
-    TrajectorySource,
     config_from_dict,
     load_config,
     load_scenario,
@@ -123,13 +122,7 @@ def test_read_cloud_refuses_a_count_beyond_the_file(tmp_path):
 def test_trajectory_round_trip(tmp_path):
     rng = np.random.default_rng(63)
     rows = [
-        TrajectoryRow(
-            float(k) * 0.1,
-            *rng.uniform(-50, 50, size=3),
-            *rng.uniform(-1.5, 1.5, size=2),
-            rng.uniform(-math.pi, math.pi),
-            TrajectorySource.ESTIMATE,
-        )
+        TrajectoryRow(float(k) * 0.1, *rng.uniform(-50, 50, size=3), rng.uniform(-math.pi, math.pi))
         for k in range(1000)
     ]
     path = tmp_path / "traj.csv"
@@ -141,16 +134,13 @@ def test_trajectory_round_trip(tmp_path):
         assert abs(a.tx - b.tx) < 1e-9
         assert abs(a.ty - b.ty) < 1e-9
         assert abs(a.tz - b.tz) < 1e-9
-        assert abs(a.roll - b.roll) < 1e-9
-        assert abs(a.pitch - b.pitch) < 1e-9
         assert abs(a.yaw - b.yaw) < 1e-9
-        assert a.source == b.source
 
 
 def test_trajectory_empty_rows(tmp_path):
     path = tmp_path / "empty.csv"
     write_trajectory([], path)
-    assert path.read_text().strip() == "t,tx,ty,tz,roll,pitch,yaw,source"
+    assert path.read_text().strip() == "t,tx,ty,tz,yaw"
     assert read_trajectory(path) == []
 
 
@@ -163,15 +153,19 @@ def test_trajectory_header_mismatch(tmp_path):
 
 def test_trajectory_column_count(tmp_path):
     path = tmp_path / "c.csv"
-    path.write_text("t,tx,ty,tz,roll,pitch,yaw,source\n0,1,2,3\n")
-    with pytest.raises(TrajectoryFormatError, match="8 columns"):
+    path.write_text("t,tx,ty,tz,yaw\n0,1,2,3\n")
+    with pytest.raises(TrajectoryFormatError, match="5 columns"):
         read_trajectory(path)
 
 
-def test_trajectory_unknown_source(tmp_path):
-    path = tmp_path / "s.csv"
-    path.write_text("t,tx,ty,tz,roll,pitch,yaw,source\n0,1,2,3,0,0,0,guess\n")
-    with pytest.raises(TrajectoryFormatError, match="unknown source"):
+OLD_TRAJECTORY_HEADER = "t,tx,ty,tz,roll,pitch,yaw,source"
+
+
+def test_trajectory_refuses_the_old_layout(tmp_path):
+    # Older files also held roll, pitch and a source tag, which nothing read.
+    path = tmp_path / "old.csv"
+    path.write_text(f"{OLD_TRAJECTORY_HEADER}\n0,1,2,3,0.01,-0.02,0.5,estimate\n")
+    with pytest.raises(TrajectoryFormatError, match=re.escape(f"{path}: bad header '{OLD_TRAJECTORY_HEADER}'")):
         read_trajectory(path)
 
 
@@ -189,10 +183,12 @@ def test_config_override():
     assert cfg.sim.extent == 12.5
 
 
-@pytest.mark.parametrize("key", ["map", "grid.resolution", "grid.margin", "icp.outlier_rejection_threshold"])
+@pytest.mark.parametrize("key", ["map", "grid.resolution", "grid.margin", "icp.outlier_rejection_threshold",
+                                 "solver.damping_increase", "solver.damping_decrease", "trajectory.frame_dt"])
 def test_config_rejects_keys_no_command_reads(key):
     # Grid settings are build-df flags; no command reads a map path from the config.
     # ICP keeps no outlier threshold: its correspondence radius is the only gate.
+    # The damping factors and the frame spacing are constants of solver and synth.
     with pytest.raises(ConfigError, match=re.escape(f"unknown key '{key}'")):
         config_from_dict({key: "1"})
 
@@ -224,8 +220,6 @@ CONSTRAINT_VIOLATIONS = {
     "solver.param_tolerance": ["0", "nan", "inf"],
     "solver.cost_tolerance": ["-1e-8", "nan", "inf"],
     "solver.initial_damping": ["0", "nan", "inf"],
-    "solver.damping_increase": ["1", "nan", "inf"],
-    "solver.damping_decrease": ["0", "1", "nan", "inf"],
     "icp.max_iterations": ["0"],
     "icp.max_correspondence_distance": ["0", "nan", "inf"],
     "icp.convergence_epsilon": ["0", "nan", "inf"],
@@ -236,7 +230,6 @@ CONSTRAINT_VIOLATIONS = {
     "scene.density": ["-1", "nan", "inf"],
     "trajectory.steps": ["1"],
     "trajectory.step_length": ["0", "nan", "inf"],
-    "trajectory.frame_dt": ["0", "nan", "inf"],
     "scan.points": ["0"],
     "scan.max_range": ["0", "nan", "inf"],
     "scan.noise_sigma": ["-0.01", "nan", "inf"],
@@ -244,12 +237,23 @@ CONSTRAINT_VIOLATIONS = {
     "seed": ["1.5", "-1"],
 }
 
+# Keys that were once config keys and are now constants of solver and synth.
+# The values that used to violate their constraints must still be refused, now
+# as unknown keys.
+RETIRED_KEY_VIOLATIONS = {
+    "solver.damping_increase": ["1", "nan", "inf"],
+    "solver.damping_decrease": ["0", "1", "nan", "inf"],
+    "trajectory.frame_dt": ["0", "nan", "inf"],
+}
+
 
 @pytest.mark.parametrize(
-    "key,value", [(k, v) for k, values in CONSTRAINT_VIOLATIONS.items() for v in values]
+    "key,value",
+    [(k, v) for table in (CONSTRAINT_VIOLATIONS, RETIRED_KEY_VIOLATIONS) for k, values in table.items() for v in values],
 )
 def test_config_constraint_table(key, value):
-    with pytest.raises(ConfigError, match=re.escape(f"'{key}'")):
+    expected = f"unknown key '{key}'" if key in RETIRED_KEY_VIOLATIONS else f"'{key}'"
+    with pytest.raises(ConfigError, match=re.escape(expected)):
         config_from_dict({key: value})
 
 
@@ -322,17 +326,6 @@ def test_scenario_bundle_round_trip(tmp_path):
         assert np.abs(pa.as_array() - pb.as_array()).max() < 1e-9
 
 
-def test_ground_truth_records_the_frame_attitude(tmp_path):
-    scene = make_scene("box_room", 6.0, 20.0, seed=74)
-    scenario = make_scenario(scene, 4, 0.2, ScanModel(max_range=10, points=50), NoiseSetup(), seed=2)
-    save_scenario(scenario, tmp_path)
-    rows = read_trajectory(tmp_path / "ground_truth.csv")
-    assert len(rows) == len(scenario.frames)
-    for row, frame in zip(rows, scenario.frames):
-        assert row.roll == pytest.approx(frame.attitude.roll, abs=1e-9)
-        assert row.pitch == pytest.approx(frame.attitude.pitch, abs=1e-9)
-
-
 def _formats_md_bundle_section() -> str:
     text = (Path(__file__).resolve().parents[1] / "FORMATS.md").read_text(encoding="utf-8")
     return text.split("## Scenario bundle", 1)[1].split("\n## ", 1)[0]
@@ -385,14 +378,12 @@ def _set_field(column, value):
         ("frames.csv", lambda d: _replace_line(d / "frames.csv", 2, _set_field(5, "nan"))),
         ("frames.csv", lambda d: _replace_line(d / "frames.csv", 3, _set_field(0, "0"))),
         ("ground_truth.csv: row 1", lambda d: _replace_line(d / "ground_truth.csv", 2, _set_field(0, "7.5"))),
-        ("ground_truth.csv: row 1", lambda d: _replace_line(d / "ground_truth.csv", 2, _set_field(4, "1.2"))),
-        ("ground_truth.csv: row 2", lambda d: _replace_line(d / "ground_truth.csv", 3, _set_field(5, "-0.5"))),
         ("map.cld", lambda d: (d / "map.cld").unlink()),
         ("scans/000001.cld", lambda d: (d / "scans" / "000001.cld").unlink()),
     ],
     ids=["meta-line-without-equals", "bounds-with-4-numbers", "nan-bound", "repeated-key", "unknown-key",
          "missing-key", "nan-roll", "non-increasing-times",
-         "truth-time-differs", "truth-roll-differs", "truth-pitch-differs", "missing-map", "missing-scan"],
+         "truth-time-differs", "missing-map", "missing-scan"],
 )
 def test_malformed_bundle_member_is_scenario_format_error(bundle, member, spoil):
     spoil(bundle)
@@ -409,4 +400,18 @@ def test_load_scenario_refuses_a_bundle_with_the_old_scan_column(bundle):
     old = [lines[0] + ",scan"] + [line + ",../outside.cld" for line in lines[1:]]
     frames.write_text("\n".join(old) + "\n")
     with pytest.raises(ScenarioFormatError, match="frames.csv: bad header"):
+        load_scenario(bundle)
+
+
+def test_load_scenario_refuses_ground_truth_in_the_old_layout(bundle):
+    # Older bundles copied each frame's roll and pitch into ground_truth.csv, with a source tag.
+    truth = bundle / "ground_truth.csv"
+    frames = (bundle / "frames.csv").read_text().splitlines()[1:]
+    lines = truth.read_text().splitlines()[1:]
+    old = [OLD_TRAJECTORY_HEADER] + [
+        ",".join([*row.split(",")[:4], *frame.split(",")[5:7], row.split(",")[4], "ground_truth"])
+        for row, frame in zip(lines, frames)
+    ]
+    truth.write_text("\n".join(old) + "\n")
+    with pytest.raises(ScenarioFormatError, match=re.escape(f"{truth}: bad header '{OLD_TRAJECTORY_HEADER}'")):
         load_scenario(bundle)

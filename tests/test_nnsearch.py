@@ -13,9 +13,15 @@ from dfloc.nnsearch import (
 )
 
 
+def _nearest(index, q):
+    """The winner and distance that ``nearest_many`` returns for one query row."""
+    p, d = index.nearest_many(np.asarray(q, dtype=np.float64)[None])
+    return p[0], d[0]
+
+
 def test_single_point_tree():
     index = build_index(np.array([[1.0, 2.0, 3.0]]))
-    p, d = index.nearest([4.0, 6.0, 3.0])
+    p, d = _nearest(index, [4.0, 6.0, 3.0])
     assert np.allclose(p, [1.0, 2.0, 3.0])
     assert d == pytest.approx(5.0)
 
@@ -24,7 +30,7 @@ def test_cube_corners_zero_distance():
     corners = np.array([[x, y, z] for x in (0.0, 1.0) for y in (0.0, 1.0) for z in (0.0, 1.0)])
     index = build_index(corners)
     for c in corners:
-        _, d = index.nearest(c)
+        _, d = _nearest(index, c)
         assert d == 0.0
 
 
@@ -46,7 +52,7 @@ def test_tree_matches_brute_force_exactly():
     index = build_index(PointCloud(pts, Frame.MAP))
     queries = rng.uniform(-1, 11, size=(1000, 3))
     for q in queries:
-        _, d_tree = index.nearest(q)
+        _, d_tree = _nearest(index, q)
         _, d_brute = brute_force_nearest(pts, q)
         assert d_tree == d_brute  # identical float expression on the winning point
 
@@ -79,14 +85,14 @@ def test_translation_equivariance():
     pts = rng.normal(size=(500, 3))
     shift = np.array([12.3, -4.5, 6.7])
     q = rng.normal(size=3)
-    _, d0 = build_index(pts).nearest(q)
-    _, d1 = build_index(pts + shift).nearest(q + shift)
+    _, d0 = _nearest(build_index(pts), q)
+    _, d1 = _nearest(build_index(pts + shift), q + shift)
     assert d1 == pytest.approx(d0, abs=1e-9)
 
 
 def test_tie_distance_deterministic():
     pts = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
-    _, d = build_index(pts).nearest([0.0, 0.0, 0.0])
+    _, d = _nearest(build_index(pts), [0.0, 0.0, 0.0])
     assert d == pytest.approx(1.0)
 
 

@@ -122,7 +122,7 @@ def test_dll_jacobian_matches_finite_differences(small_scene, small_grid):
         margin = 5e-4  # clearance so FD probes stay within one cell
         safe = (
             ((frac * spec.resolution > margin) & ((1 - frac) * spec.resolution > margin)).all(axis=1)
-            & spec.contains(mapped)
+            & query_many(small_grid, mapped)[2]
         )
         if safe.sum() < 10:
             continue

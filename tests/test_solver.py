@@ -182,8 +182,6 @@ def test_options_validation():
         SolverOptions(max_iterations=0)
     with pytest.raises(ValueError):
         SolverOptions(param_tolerance=0.0)
-    with pytest.raises(ValueError):
-        SolverOptions(damping_decrease=1.5)
 
 
 def test_yaw_wrapped_after_steps():

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from dfloc.nnsearch import brute_force_distances
 from dfloc.synth import (
     NoiseSetup,
     ScanModel,
+    ScenarioRun,
     corrupt_odometry,
     make_scenario,
     make_scene,
@@ -198,8 +200,11 @@ def test_corrupt_odometry_deterministic():
 def test_scenario_rejects_non_finite_timestamps():
     scene = make_scene("box_room", 6.0, 20.0, seed=18)
     model = ScanModel(max_range=8.0, points=50, noise_sigma=0.01)
+    run = make_scenario(scene, 3, 0.2, model, NoiseSetup(), seed=5)
+    frames = list(run.frames)
+    frames[1] = replace(frames[1], timestamp=math.nan)
     with pytest.raises(ValueError, match="finite"):
-        make_scenario(scene, 3, 0.2, model, NoiseSetup(), seed=5, frame_dt=math.nan)
+        ScenarioRun(run.scene, run.ground_truth, frames)
 
 
 def test_scenario_structure_and_determinism():
