@@ -49,13 +49,14 @@ def _load_config(args) -> formats.RunConfig:
 
 
 def _read_grid(path, scenario):
-    """Load a .df grid, warning when it does not cover the scenario's volume."""
+    """Load a .df grid, warning when it does not cover the scenario's map."""
     grid = _stage("read-grid", load_grid, path)
     spec = grid.spec
-    lo, hi = scenario.scene.bounds
+    pts = scenario.map.points
+    lo, hi = pts.min(axis=0), pts.max(axis=0)
     if (lo < spec.origin - 1e-9).any() or (hi > spec.upper + 1e-9).any():
         log.warning(
-            "scenario volume [%s, %s] is not fully covered by the grid [%s, %s]",
+            "scenario map [%s, %s] is not fully covered by the grid [%s, %s]",
             lo, hi, spec.origin, spec.upper,
         )
     return grid
@@ -101,7 +102,7 @@ def cmd_localize(args) -> int:
     scenario = _stage("read-scenario", formats.load_scenario, args.scenario)
     grid = map_index = None
     if args.method == "icp":
-        map_index = _stage("build-map-index", build_index, scenario.scene.map)
+        map_index = _stage("build-map-index", build_index, scenario.map)
     elif args.grid is not None:
         grid = _read_grid(args.grid, scenario)
     run = _stage("track", bench.run_tracking, scenario, args.method, args.mode, grid, map_index, cfg)
@@ -118,7 +119,7 @@ def cmd_benchmark(args) -> int:
     cfg = _load_config(args)
     scenario = _stage("read-scenario", formats.load_scenario, args.scenario)
     grid = _read_grid(args.grid, scenario)
-    map_index = _stage("build-map-index", build_index, scenario.scene.map)
+    map_index = _stage("build-map-index", build_index, scenario.map)
     rows = _stage("benchmark", bench.run_benchmark, scenario, grid, map_index, cfg)
     _stage("write-report", evaluation.write_report, rows, args.out)
     timing_out = args.timing_out or (str(Path(args.out).with_suffix("")) + "_timing.csv")

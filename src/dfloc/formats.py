@@ -20,7 +20,7 @@ import numpy as np
 from .geometry import Attitude, Frame, OdomDelta, PointCloud, Pose4, wrap_angle
 from .registration import IcpOptions
 from .solver import RobustLoss, SolverOptions
-from .synth import SCENE_KINDS, NoiseSetup, ScanModel, Scene, ScenarioRun
+from .synth import SCENE_KINDS, NoiseSetup, ScanModel, ScenarioRun
 from .tracker import ScanFrame
 
 CLOUD_MAGIC = b"XYZCLD1\n"
@@ -340,8 +340,6 @@ def load_config(path) -> RunConfig:
 
 # -- scenario bundles ---------------------------------------------------------
 
-SCENARIO_META = "scenario.txt"
-SCENARIO_KEYS = ("bounds.min", "bounds.max")
 FRAMES_HEADER = "t,dtx,dty,dtz,dyaw,roll,pitch"
 SCAN_PATH = "scans/{:06d}.cld"  # row k of frames.csv is scan k
 
@@ -352,12 +350,10 @@ def ground_truth_rows(run: ScenarioRun) -> list[TrajectoryRow]:
 
 
 def save_scenario(run: ScenarioRun, directory) -> None:
-    """Write a scenario bundle: metadata, map, ground truth, frame table, scans."""
+    """Write a scenario bundle: map, ground truth, frame table, scans."""
     directory = Path(directory)
     (directory / "scans").mkdir(parents=True, exist_ok=True)
-    meta = [f"{key} = {' '.join(_digits12(*corner))}" for key, corner in zip(SCENARIO_KEYS, run.scene.bounds)]
-    (directory / SCENARIO_META).write_text("\n".join(meta) + "\n", encoding="utf-8")
-    write_cloud(run.scene.map, directory / "map.cld", binary=True)
+    write_cloud(run.map, directory / "map.cld", binary=True)
     write_trajectory(ground_truth_rows(run), directory / "ground_truth.csv")
     rows = []
     for k, frame in enumerate(run.frames):
@@ -383,14 +379,6 @@ def load_scenario(directory) -> ScenarioRun:
     member = "map.cld"
     try:
         cloud = read_cloud(directory / member, Frame.MAP)
-        member = SCENARIO_META  # read after the map, so that bounds unable to hold it name this file
-        meta = parse_keyvalues(_read_text(directory / member, ScenarioFormatError), directory / member)
-        if set(meta) != set(SCENARIO_KEYS):
-            raise ValueError(f"keys are {', '.join(meta) or 'none'}, expected exactly {', '.join(SCENARIO_KEYS)}")
-        bounds = [[float(v) for v in meta[key].split()] for key in SCENARIO_KEYS]
-        if any(len(b) != 3 for b in bounds):
-            raise ValueError("bounds.min and bounds.max take 3 numbers each")
-        scene = Scene(cloud, np.array(bounds))
         member = "ground_truth.csv"
         truth = read_trajectory(directory / member)
         member = "frames.csv"
@@ -404,7 +392,7 @@ def load_scenario(directory) -> ScenarioRun:
             member = SCAN_PATH.format(k)
             frames.append(ScanFrame(read_cloud(directory / member, Frame.SENSOR), attitude, odom, t))
         member = "frames.csv"
-        return ScenarioRun(scene, [r.pose() for r in truth], frames)
+        return ScenarioRun(cloud, [r.pose() for r in truth], frames)
     except ScenarioFormatError:
         raise
     except (OSError, ValueError) as exc:

@@ -55,8 +55,7 @@ class Scene:
         if not np.isfinite(bounds).all() or (bounds[1] <= bounds[0]).any():
             raise ValueError("scene bounds must be finite and span a positive volume")
         pts = self.map.points
-        # Tolerance covers f32 round-tripping of boundary points through bundle files.
-        if (pts < bounds[0] - 1e-4).any() or (pts > bounds[1] + 1e-4).any():
+        if (pts < bounds[0]).any() or (pts > bounds[1]).any():
             raise ValueError("map points fall outside the declared bounds")
         bounds.setflags(write=False)
         object.__setattr__(self, "bounds", bounds)
@@ -96,13 +95,13 @@ class ScanModel:
 
 @dataclass(frozen=True)
 class ScenarioRun:
-    """One benchmark unit: scene, ground truth, and the frames fed to a tracker.
+    """One benchmark unit: map cloud, ground truth, and the frames fed to a tracker.
 
     Frame odometry carries whatever noise the scenario was simulated with;
     the noiseless deltas recompose the ground-truth increments exactly.
     """
 
-    scene: Scene
+    map: PointCloud
     ground_truth: tuple[Pose4, ...]
     frames: tuple[ScanFrame, ...]
 
@@ -374,4 +373,4 @@ def make_scenario(
         )
         cloud = simulate_scan(scene, pose, att, model, seed=scan_seeds[k])
         frames.append(ScanFrame(cloud, att, deltas[k], k * FRAME_DT))
-    return ScenarioRun(scene, tuple(poses), tuple(frames))
+    return ScenarioRun(scene.map, tuple(poses), tuple(frames))

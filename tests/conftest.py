@@ -1,13 +1,12 @@
-"""Shared fixtures. The two expensive session grids are built once:
+"""Shared fixtures. Session scenes, grids and indexes are built once:
 
-* room_grid: box room at 100 pts/m^2 with a 0.05 m field (the recovery,
-  outlier, tracking, and out-of-map acceptance protocols).
-* dense_speed_setup: box room at 400 pts/m^2 (map sampled at the field's
-  own resolution scale) with a 0.075 m field, used for the relative-speed
-  gate where nearest-neighbor cost must be realistic.
+* room_scene, room_grid, room_index: box room at 100 pts/m^2 with a
+  0.05 m field and its kd-tree (the recovery, outlier, tracking, and
+  out-of-map acceptance protocols).
+* small_scene, small_grid: 6 m box room at 60 pts/m^2 with a 0.1 m field.
+* tree_rows: records the (rows, k) of each KdTree3.nearest_many call.
 """
 
-import numpy as np
 import pytest
 
 from dfloc import distance_field as df
@@ -57,14 +56,3 @@ def small_grid(small_scene):
     spec = df.plan_grid(small_scene.map, 0.1, margin=1.0)
     return df.build_grid(small_scene.map, spec)
 
-
-@pytest.fixture(scope="session")
-def random_cloud_grid():
-    """10k uniform random points with a coarse field; spec plus brute oracle."""
-    from dfloc.geometry import Frame, PointCloud
-
-    rng = np.random.default_rng(100)
-    cloud = PointCloud(rng.uniform(0.0, 10.0, size=(10_000, 3)), Frame.MAP)
-    spec = df.plan_grid(cloud, 0.25, margin=1.0)
-    grid = df.build_grid(cloud, spec)
-    return cloud, spec, grid

@@ -106,7 +106,7 @@ LOADERS = {
     "read_cloud-text": _cloud_text,
     "read_cloud-binary": _cloud_binary,
     "read_step_times": _step_times,
-    "load_scenario-scenario.txt": lambda tmp_path: _bundle(tmp_path, formats.SCENARIO_META),
+    "load_scenario-ground_truth.csv": lambda tmp_path: _bundle(tmp_path, "ground_truth.csv"),
     "load_scenario-frames.csv": lambda tmp_path: _bundle(tmp_path, "frames.csv"),
     "load_grid": _grid,
 }

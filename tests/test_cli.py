@@ -204,3 +204,26 @@ def test_volume_mismatch_warns(workspace, tmp_path, caplog):
             "--out", str(tmp_path / "est.csv"),
         ])
     assert any("not fully covered" in r.message for r in caplog.records)
+
+
+def test_grid_built_from_the_scenario_map_does_not_warn(tmp_path, caplog):
+    # The building_yard flight volume reaches extent/2, above its tallest roof;
+    # a grid over the map alone still covers every point that DLL registers against.
+    import logging
+
+    cfg = tmp_path / "yard.cfg"
+    cfg.write_text(
+        "scene.kind = building_yard\nscene.extent = 12\nscene.density = 30\n"
+        "trajectory.steps = 5\nscan.points = 300\nseed = 3\n"
+    )
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "scn")]) == 0
+    assert main([
+        "build-df", "--map", str(tmp_path / "scn" / "map.cld"),
+        "--resolution", "0.2", "--out", str(tmp_path / "g.df"),
+    ]) == 0
+    with caplog.at_level(logging.WARNING, logger="dfloc"):
+        assert main([
+            "localize", "--grid", str(tmp_path / "g.df"), "--scenario", str(tmp_path / "scn"),
+            "--config", str(cfg), "--out", str(tmp_path / "est.csv"),
+        ]) == 0
+    assert not any("not fully covered" in r.message for r in caplog.records)

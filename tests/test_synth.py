@@ -204,7 +204,7 @@ def test_scenario_rejects_non_finite_timestamps():
     frames = list(run.frames)
     frames[1] = replace(frames[1], timestamp=math.nan)
     with pytest.raises(ValueError, match="finite"):
-        ScenarioRun(run.scene, run.ground_truth, frames)
+        ScenarioRun(run.map, run.ground_truth, frames)
 
 
 def test_scenario_structure_and_determinism():
