@@ -21,7 +21,6 @@ from .geometry import (
     Attitude,
     Frame,
     FrameError,
-    OdomDelta,
     PointCloud,
     Pose4,
     apply_pose,

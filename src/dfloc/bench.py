@@ -106,7 +106,7 @@ def run_tracking(
             divergence_step = k
             break
         p = state.current_pose
-        rows.append(TrajectoryRow(frame.timestamp, p.tx, p.ty, p.tz, p.yaw))
+        rows.append(TrajectoryRow(frame.timestamp, p))
         times.append(state.last_result.elapsed)
         if np.linalg.norm(p.translation - scenario.ground_truth[k].translation) > DIVERGENCE_RADIUS:
             divergence_step = k

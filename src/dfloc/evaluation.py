@@ -21,8 +21,8 @@ def _paired_arrays(est, gt) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"trajectory length mismatch: {len(est)} estimates vs {len(gt)} references")
     if len(est) == 0:
         raise ValueError("cannot evaluate empty trajectories")
-    e = np.array([[r.timestamp, r.tx, r.ty, r.tz, r.yaw] for r in est])
-    g = np.array([[r.timestamp, r.tx, r.ty, r.tz, r.yaw] for r in gt])
+    e = np.array([[r.timestamp, *r.pose.as_array()] for r in est])
+    g = np.array([[r.timestamp, *r.pose.as_array()] for r in gt])
     if np.abs(e[:, 0] - g[:, 0]).max() > 1e-9:
         raise ValueError("trajectory timestamps do not match")
     return e, g

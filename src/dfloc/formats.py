@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import Attitude, Frame, OdomDelta, PointCloud, Pose4, wrap_angle
+from .geometry import Attitude, Frame, PointCloud, Pose4
 from .registration import IcpOptions
 from .solver import RobustLoss, SolverOptions
 from .synth import SCENE_KINDS, NoiseSetup, ScanModel, ScenarioRun
@@ -166,21 +166,14 @@ def write_cloud(cloud: PointCloud, path, binary: bool = False) -> None:
 
 @dataclass(frozen=True)
 class TrajectoryRow:
-    """One timestamped 4-DOF pose sample."""
+    """One timestamped 4-DOF pose sample; the pose checks and wraps its own fields."""
 
     timestamp: float
-    tx: float
-    ty: float
-    tz: float
-    yaw: float
+    pose: Pose4
 
     def __post_init__(self):
-        if not all(math.isfinite(v) for v in (self.timestamp, self.tx, self.ty, self.tz, self.yaw)):
-            raise ValueError("trajectory row contains non-finite values")
-        object.__setattr__(self, "yaw", float(wrap_angle(self.yaw)))
-
-    def pose(self) -> Pose4:
-        return Pose4(self.tx, self.ty, self.tz, self.yaw)
+        if not math.isfinite(self.timestamp):
+            raise ValueError(f"trajectory time must be finite, got {self.timestamp}")
 
 
 TRAJECTORY_HEADER = "t,tx,ty,tz,yaw"
@@ -192,35 +185,35 @@ def _digits12(*values: float) -> list[str]:
 
 def write_trajectory(rows, path) -> None:
     """Write trajectory rows as CSV; values round-trip to better than 1e-9."""
-    write_csv(path, TRAJECTORY_HEADER, (_digits12(r.timestamp, r.tx, r.ty, r.tz, r.yaw) for r in rows))
+    write_csv(path, TRAJECTORY_HEADER, (_digits12(r.timestamp, *r.pose.as_array()) for r in rows))
 
 
 def _trajectory_row(fields: list[str]) -> TrajectoryRow:
-    return TrajectoryRow(*(float(v) for v in fields))
+    t, tx, ty, tz, yaw = (float(v) for v in fields)
+    return TrajectoryRow(t, Pose4(tx, ty, tz, yaw))
 
 
 def read_trajectory(path) -> list[TrajectoryRow]:
     return read_csv(path, TRAJECTORY_HEADER, TrajectoryFormatError, _trajectory_row)
 
 
-STEP_TIMES_HEADER = "step,dt"
+STEP_TIMES_HEADER = "dt"
 
 
 def write_step_times(times, path) -> None:
-    """Write per-step wall-clock times as ``step,dt`` rows."""
-    write_csv(path, STEP_TIMES_HEADER, ([str(k), f"{dt:.9g}"] for k, dt in enumerate(times)))
+    """Write per-step wall-clock times, one ``dt`` row per step: row k is step k."""
+    write_csv(path, STEP_TIMES_HEADER, ([f"{dt:.9g}"] for dt in times))
 
 
 def _step_time(fields: list[str]) -> float:
-    int(fields[0])  # the step must be an integer; its value is not used
-    dt = float(fields[1])
+    dt = float(fields[0])
     if not math.isfinite(dt):
-        raise ValueError(f"dt '{fields[1]}' is not finite")
+        raise ValueError(f"dt '{fields[0]}' is not finite")
     return dt
 
 
 def read_step_times(path) -> np.ndarray:
-    """The dt column of a step-times file; every row needs an integer step and a finite dt."""
+    """The per-step times of a step-times file; every row needs a finite dt."""
     return np.array(read_csv(path, STEP_TIMES_HEADER, ValueError, _step_time))
 
 
@@ -340,13 +333,13 @@ def load_config(path) -> RunConfig:
 
 # -- scenario bundles ---------------------------------------------------------
 
-FRAMES_HEADER = "t,dtx,dty,dtz,dyaw,roll,pitch"
+FRAMES_HEADER = "dtx,dty,dtz,dyaw,roll,pitch"  # row k is frame k, at row k's t in ground_truth.csv
 SCAN_PATH = "scans/{:06d}.cld"  # row k of frames.csv is scan k
 
 
 def ground_truth_rows(run: ScenarioRun) -> list[TrajectoryRow]:
     """The scenario's true poses, at their frames' times, as trajectory rows."""
-    return [TrajectoryRow(f.timestamp, p.tx, p.ty, p.tz, p.yaw) for p, f in zip(run.ground_truth, run.frames)]
+    return [TrajectoryRow(f.timestamp, p) for p, f in zip(run.ground_truth, run.frames)]
 
 
 def save_scenario(run: ScenarioRun, directory) -> None:
@@ -357,23 +350,23 @@ def save_scenario(run: ScenarioRun, directory) -> None:
     write_trajectory(ground_truth_rows(run), directory / "ground_truth.csv")
     rows = []
     for k, frame in enumerate(run.frames):
-        d = frame.odom if frame.odom is not None else OdomDelta.zero()
+        d = frame.odom if frame.odom is not None else Pose4.identity()
         write_cloud(frame.cloud, directory / SCAN_PATH.format(k), binary=True)
         att = frame.attitude
-        rows.append(_digits12(frame.timestamp, d.dtx, d.dty, d.dtz, d.dyaw, att.roll, att.pitch))
+        rows.append(_digits12(*d.as_array(), att.roll, att.pitch))
     write_csv(directory / "frames.csv", FRAMES_HEADER, rows)
 
 
-def _frame_row(fields: list[str]) -> tuple[float, Attitude, OdomDelta]:
-    t, dtx, dty, dtz, dyaw, roll, pitch = (float(v) for v in fields)
-    return t, Attitude(roll, pitch), OdomDelta(dtx, dty, dtz, dyaw)
+def _frame_row(fields: list[str]) -> tuple[Attitude, Pose4]:
+    dtx, dty, dtz, dyaw, roll, pitch = (float(v) for v in fields)
+    return Attitude(roll, pitch), Pose4(dtx, dty, dtz, dyaw)
 
 
 def load_scenario(directory) -> ScenarioRun:
     """Read a bundle written by save_scenario.
 
     A missing or malformed member raises ScenarioFormatError naming it, with the underlying
-    error as its cause; ground_truth.csv is malformed where its t differs from frames.csv.
+    error as its cause. Frame k's time is the t of row k of ground_truth.csv.
     """
     directory = Path(directory)
     member = "map.cld"
@@ -383,16 +376,14 @@ def load_scenario(directory) -> ScenarioRun:
         truth = read_trajectory(directory / member)
         member = "frames.csv"
         rows = read_csv(directory / member, FRAMES_HEADER, ScenarioFormatError, _frame_row)
-        member = "ground_truth.csv"
-        for k, (r, (t, _, _)) in enumerate(zip(truth, rows)):
-            if r.timestamp != t:
-                raise ValueError(f"row {k}: t differs from frames.csv")
+        if len(rows) != len(truth):
+            raise ValueError(f"{len(rows)} rows, but ground_truth.csv has {len(truth)}")
         frames = []
-        for k, (t, attitude, odom) in enumerate(rows):
+        for k, (r, (attitude, odom)) in enumerate(zip(truth, rows)):
             member = SCAN_PATH.format(k)
-            frames.append(ScanFrame(read_cloud(directory / member, Frame.SENSOR), attitude, odom, t))
+            frames.append(ScanFrame(read_cloud(directory / member, Frame.SENSOR), attitude, odom, r.timestamp))
         member = "frames.csv"
-        return ScenarioRun(cloud, [r.pose() for r in truth], frames)
+        return ScenarioRun(cloud, [r.pose for r in truth], frames)
     except ScenarioFormatError:
         raise
     except (OSError, ValueError) as exc:

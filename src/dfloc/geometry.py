@@ -94,10 +94,12 @@ class Attitude:
 
 @dataclass(frozen=True)
 class Pose4:
-    """Map-frame pose: translation (meters) plus yaw (radians).
+    """A 4-DOF transform: translation (meters) plus yaw (radians).
 
-    yaw is wrapped to (-pi, pi] on construction, so two poses describing
-    the same transform compare equal component-wise.
+    It is either a map-frame pose or a body-frame increment between two
+    poses (see ``compose`` and ``pose_delta``). yaw is wrapped to
+    (-pi, pi] on construction, so two poses describing the same
+    transform compare equal component-wise.
     """
 
     tx: float
@@ -139,26 +141,6 @@ class Pose4:
         )
 
 
-@dataclass(frozen=True)
-class OdomDelta:
-    """Body-frame motion increment between consecutive registrations."""
-
-    dtx: float
-    dty: float
-    dtz: float
-    dyaw: float
-
-    def __post_init__(self):
-        vals = (self.dtx, self.dty, self.dtz, self.dyaw)
-        if not all(math.isfinite(v) for v in vals):
-            raise ValueError(f"odometry delta components must be finite, got {vals}")
-        object.__setattr__(self, "dyaw", float(wrap_angle(self.dyaw)))
-
-    @classmethod
-    def zero(cls) -> "OdomDelta":
-        return cls(0.0, 0.0, 0.0, 0.0)
-
-
 def rotate_z(yaw: float, p) -> np.ndarray:
     """Rotate point(s) about the z axis by ``yaw`` radians."""
     p = np.asarray(p, dtype=np.float64)
@@ -179,21 +161,21 @@ def apply_pose(pose: Pose4, p) -> np.ndarray:
     return out
 
 
-def compose(prev: Pose4, delta: OdomDelta) -> Pose4:
+def compose(prev: Pose4, delta: Pose4) -> Pose4:
     """Advance ``prev`` by a body-frame increment.
 
     The translation part of ``delta`` is rotated into the map frame by
     prev.yaw before being added; yaw is summed and wrapped.
     """
-    t = rotate_z(prev.yaw, np.array([delta.dtx, delta.dty, delta.dtz]))
-    return Pose4(prev.tx + t[0], prev.ty + t[1], prev.tz + t[2], prev.yaw + delta.dyaw)
+    t = rotate_z(prev.yaw, delta.translation)
+    return Pose4(prev.tx + t[0], prev.ty + t[1], prev.tz + t[2], prev.yaw + delta.yaw)
 
 
-def pose_delta(prev: Pose4, curr: Pose4) -> OdomDelta:
+def pose_delta(prev: Pose4, curr: Pose4) -> Pose4:
     """Body-frame increment d with compose(prev, d) == curr (up to wrapping)."""
     dt_map = curr.translation - prev.translation
     dt_body = rotate_z(-prev.yaw, dt_map)
-    return OdomDelta(dt_body[0], dt_body[1], dt_body[2], curr.yaw - prev.yaw)
+    return Pose4(dt_body[0], dt_body[1], dt_body[2], curr.yaw - prev.yaw)
 
 
 def attitude_matrix(att: Attitude) -> np.ndarray:

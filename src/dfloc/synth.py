@@ -20,7 +20,6 @@ import numpy as np
 from .geometry import (
     Attitude,
     Frame,
-    OdomDelta,
     PointCloud,
     Pose4,
     attitude_matrix,
@@ -108,6 +107,8 @@ class ScenarioRun:
     def __post_init__(self):
         if len(self.ground_truth) != len(self.frames):
             raise ValueError("ground truth and frames must have equal length")
+        if not self.frames:
+            raise ValueError("a scenario needs at least one frame")
         times = [f.timestamp for f in self.frames]
         if not all(math.isfinite(t) for t in times):
             raise ValueError("frame timestamps must be finite")
@@ -284,9 +285,9 @@ def make_trajectory(scene: Scene, steps: int, step_length: float, seed: int = 0)
     raise ValueError("scene too small for the required trajectory clearance")
 
 
-def true_odometry(poses: list[Pose4]) -> list[OdomDelta]:
-    """Exact body-frame increments along a trajectory; index 0 is zero."""
-    deltas = [OdomDelta.zero()]
+def true_odometry(poses: list[Pose4]) -> list[Pose4]:
+    """Exact body-frame increments along a trajectory; index 0 is the identity."""
+    deltas = [Pose4.identity()]
     for prev, curr in zip(poses, poses[1:]):
         deltas.append(pose_delta(prev, curr))
     return deltas
@@ -328,7 +329,7 @@ def simulate_scan(
     return PointCloud(sensor, Frame.SENSOR)
 
 
-def corrupt_odometry(true_deltas, setup: NoiseSetup, seed: int) -> list[OdomDelta]:
+def corrupt_odometry(true_deltas, setup: NoiseSetup, seed: int) -> list[Pose4]:
     """Add per-component Gaussian noise to odometry increments.
 
     sigma_t applies to each translation axis, sigma_yaw to the yaw
@@ -340,7 +341,7 @@ def corrupt_odometry(true_deltas, setup: NoiseSetup, seed: int) -> list[OdomDelt
     out = []
     for d in true_deltas:
         n = rng.normal(0.0, scale)
-        out.append(OdomDelta(d.dtx + n[0], d.dty + n[1], d.dtz + n[2], d.dyaw + n[3]))
+        out.append(Pose4(d.tx + n[0], d.ty + n[1], d.tz + n[2], d.yaw + n[3]))
     return out
 
 

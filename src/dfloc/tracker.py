@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .distance_field import DfGrid
-from .geometry import Attitude, OdomDelta, PointCloud, Pose4, compose, tilt_compensate
+from .geometry import Attitude, PointCloud, Pose4, compose, tilt_compensate
 from .registration import RegistrationError, RegistrationResult, dll_register
 from .solver import RobustLoss, SolverOptions
 
@@ -34,7 +34,7 @@ class ScanFrame:
 
     cloud: PointCloud
     attitude: Attitude
-    odom: OdomDelta | None
+    odom: Pose4 | None
     timestamp: float
 
 

@@ -333,15 +333,15 @@ def test_criterion_9_round_trips_and_errors(tmp_path, small_grid):
 
     # trajectory: 1e-9 round trip plus error classes
     rows = [
-        TrajectoryRow(k * 0.1, *rng.uniform(-20, 20, 3), rng.uniform(-math.pi, math.pi))
+        TrajectoryRow(k * 0.1, Pose4(*rng.uniform(-20, 20, 3), rng.uniform(-math.pi, math.pi)))
         for k in range(500)
     ]
     csv = tmp_path / "t.csv"
     write_trajectory(rows, csv)
     back = read_trajectory(csv)
     worst = max(
-        max(abs(a.timestamp - b.timestamp), abs(a.tx - b.tx), abs(a.ty - b.ty),
-            abs(a.tz - b.tz), abs(a.yaw - b.yaw))
+        max(abs(a.timestamp - b.timestamp), abs(a.pose.tx - b.pose.tx), abs(a.pose.ty - b.pose.ty),
+            abs(a.pose.tz - b.pose.tz), abs(a.pose.yaw - b.pose.yaw))
         for a, b in zip(rows, back)
     )
     assert worst < 1e-9

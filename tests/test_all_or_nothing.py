@@ -14,7 +14,7 @@ import pytest
 
 from dfloc import formats
 from dfloc.distance_field import GridFileError, build_grid, load_grid, plan_grid, save_grid
-from dfloc.geometry import Frame, PointCloud
+from dfloc.geometry import Frame, PointCloud, Pose4
 from dfloc.synth import NoiseSetup, ScanModel, make_scenario, make_scene
 
 FLIPS = 300
@@ -56,7 +56,7 @@ def _cloud(n=4):
 
 def _trajectory(tmp_path):
     path = tmp_path / "traj.csv"
-    rows = [formats.TrajectoryRow(0.1 * k, 1.0 + k, -2.5, 0.75, 0.3 * k) for k in range(3)]
+    rows = [formats.TrajectoryRow(0.1 * k, Pose4(1.0 + k, -2.5, 0.75, 0.3 * k)) for k in range(3)]
     formats.write_trajectory(rows, path)
     return path, lambda: formats.read_trajectory(path), formats.TrajectoryFormatError
 

@@ -1,8 +1,10 @@
+import shutil
+
 import pytest
 
 from dfloc.cli import main
 from dfloc.distance_field import load_grid
-from dfloc.formats import read_trajectory
+from dfloc.formats import FRAMES_HEADER, TRAJECTORY_HEADER, read_trajectory
 
 TINY_CFG = """
 scene.extent = 6.0
@@ -46,7 +48,7 @@ def test_localize_writes_trajectory(workspace):
     assert code == 0
     rows = read_trajectory(out)
     assert len(rows) == 6
-    assert (root / "times.csv").read_text().startswith("step,dt")
+    assert (root / "times.csv").read_text().startswith("dt\n")
 
 
 def test_localize_icp_needs_no_grid(workspace, tmp_path):
@@ -89,8 +91,8 @@ def test_eval_on_estimates(workspace, capsys):
 
 @pytest.mark.parametrize(
     "content",
-    [None, "", "t,dt\n0,0.1\n", "step,dt\n0,fast\n", "step,dt\n0\n", "step,dt\n0,nan\n", "step,dt\nabc,0.5\n"],
-    ids=["missing", "empty", "bad-header", "non-numeric", "short-row", "non-finite", "non-integer-step"],
+    [None, "", "t,dt\n0,0.1\n", "dt\nfast\n", "dt\n0.1,0.2\n", "dt\nnan\n", "step,dt\n0,0.1\n"],
+    ids=["missing", "empty", "bad-header", "non-numeric", "extra-column", "non-finite", "old-step-column"],
 )
 def test_eval_bad_timing_is_stage_error(workspace, tmp_path, capsys, content):
     root, _ = workspace
@@ -106,9 +108,26 @@ def test_eval_reads_timing(workspace, tmp_path, capsys):
     root, _ = workspace
     gt = root / "scn" / "ground_truth.csv"
     timing = tmp_path / "times.csv"
-    timing.write_text("step,dt\n0,0.1\n\n1,0.3\n")
+    timing.write_text("dt\n0.1\n\n0.3\n")
     assert main(["eval", "--est", str(gt), "--gt", str(gt), "--timing", str(timing)]) == 0
     assert "dt = 0.200000 s (dev 0.100000, n=2)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["localize", "benchmark"])
+def test_bundle_without_frames_fails_in_read_scenario(workspace, tmp_path, capsys, command):
+    root, cfg = workspace
+    bundle = tmp_path / "scn"
+    shutil.copytree(root / "scn", bundle)
+    (bundle / "ground_truth.csv").write_text(TRAJECTORY_HEADER + "\n")
+    (bundle / "frames.csv").write_text(FRAMES_HEADER + "\n")
+    code = main([
+        command, "--grid", str(root / "g.df"), "--scenario", str(bundle),
+        "--config", str(cfg), "--out", str(tmp_path / "out.csv"),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"error: read-scenario: {bundle / 'frames.csv'}: a scenario needs at least one frame" in err
+    assert not (tmp_path / "out.csv").exists()
 
 
 def test_benchmark_deterministic_bytes(workspace):

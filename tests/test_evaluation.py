@@ -5,10 +5,11 @@ import pytest
 
 from dfloc.evaluation import BenchRow, rmse_translation, rmse_yaw, write_report
 from dfloc.formats import TrajectoryRow
+from dfloc.geometry import Pose4
 
 
 def _row(t, tx=0.0, ty=0.0, tz=0.0, yaw=0.0):
-    return TrajectoryRow(t, tx, ty, tz, yaw)
+    return TrajectoryRow(t, Pose4(tx, ty, tz, yaw))
 
 
 def test_rmse_zero_for_identical():

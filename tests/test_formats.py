@@ -8,10 +8,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dfloc.evaluation import REPORT_HEADER, TIMING_HEADER
 from dfloc.formats import (
     CLOUD_MAGIC,
     CONFIG_KEYS,
     FRAMES_HEADER,
+    STEP_TIMES_HEADER,
+    TRAJECTORY_HEADER,
     CloudFormatError,
     CloudParseError,
     CloudValueError,
@@ -30,7 +33,7 @@ from dfloc.formats import (
     write_cloud,
     write_trajectory,
 )
-from dfloc.geometry import Frame, PointCloud
+from dfloc.geometry import Frame, PointCloud, Pose4
 from dfloc.synth import NoiseSetup, ScanModel, make_scenario, make_scene
 
 
@@ -121,7 +124,7 @@ def test_read_cloud_refuses_a_count_beyond_the_file(tmp_path):
 def test_trajectory_round_trip(tmp_path):
     rng = np.random.default_rng(63)
     rows = [
-        TrajectoryRow(float(k) * 0.1, *rng.uniform(-50, 50, size=3), rng.uniform(-math.pi, math.pi))
+        TrajectoryRow(float(k) * 0.1, Pose4(*rng.uniform(-50, 50, size=3), rng.uniform(-math.pi, math.pi)))
         for k in range(1000)
     ]
     path = tmp_path / "traj.csv"
@@ -130,10 +133,10 @@ def test_trajectory_round_trip(tmp_path):
     assert len(back) == 1000
     for a, b in zip(rows, back):
         assert abs(a.timestamp - b.timestamp) < 1e-9
-        assert abs(a.tx - b.tx) < 1e-9
-        assert abs(a.ty - b.ty) < 1e-9
-        assert abs(a.tz - b.tz) < 1e-9
-        assert abs(a.yaw - b.yaw) < 1e-9
+        assert abs(a.pose.tx - b.pose.tx) < 1e-9
+        assert abs(a.pose.ty - b.pose.ty) < 1e-9
+        assert abs(a.pose.tz - b.pose.tz) < 1e-9
+        assert abs(a.pose.yaw - b.pose.yaw) < 1e-9
 
 
 def test_trajectory_empty_rows(tmp_path):
@@ -261,9 +264,21 @@ def test_config_loss_scale_checked_without_cauchy():
         config_from_dict({"loss.kind": "none", "loss.scale": "-1"})
 
 
+def _formats_md() -> str:
+    return (Path(__file__).resolve().parents[1] / "FORMATS.md").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "header",
+    [TRAJECTORY_HEADER, FRAMES_HEADER, STEP_TIMES_HEADER, REPORT_HEADER, TIMING_HEADER],
+    ids=["TRAJECTORY_HEADER", "FRAMES_HEADER", "STEP_TIMES_HEADER", "REPORT_HEADER", "TIMING_HEADER"],
+)
+def test_formats_md_names_each_csv_header(header):
+    assert f"`{header}`" in _formats_md()
+
+
 def _formats_md_config_table() -> dict[str, str]:
-    text = (Path(__file__).resolve().parents[1] / "FORMATS.md").read_text(encoding="utf-8")
-    section = text.split("## Run configuration", 1)[1].split("\n## ", 1)[0]
+    section = _formats_md().split("## Run configuration", 1)[1].split("\n## ", 1)[0]
     rows = re.findall(r"^\| `([^`]+)` \| ([^|]+?) \|", section, flags=re.MULTILINE)
     return dict(rows)
 
@@ -316,8 +331,8 @@ def test_scenario_bundle_round_trip(tmp_path):
     assert np.abs(back.map.points - scenario.map.points).max() < 1e-5  # f32 on disk
     for fa, fb in zip(scenario.frames, back.frames):
         assert fb.timestamp == pytest.approx(fa.timestamp, abs=1e-9)
-        assert fb.odom.dtx == pytest.approx(fa.odom.dtx, abs=1e-9)
-        assert fb.odom.dyaw == pytest.approx(fa.odom.dyaw, abs=1e-9)
+        assert fb.odom.tx == pytest.approx(fa.odom.tx, abs=1e-9)
+        assert fb.odom.yaw == pytest.approx(fa.odom.yaw, abs=1e-9)
         assert fb.attitude.roll == pytest.approx(fa.attitude.roll, abs=1e-9)
         # clouds survive at f32 precision
         assert np.abs(fb.cloud.points - fa.cloud.points).max() < 1e-5
@@ -326,8 +341,7 @@ def test_scenario_bundle_round_trip(tmp_path):
 
 
 def _formats_md_bundle_section() -> str:
-    text = (Path(__file__).resolve().parents[1] / "FORMATS.md").read_text(encoding="utf-8")
-    return text.split("## Scenario bundle", 1)[1].split("\n## ", 1)[0]
+    return _formats_md().split("## Scenario bundle", 1)[1].split("\n## ", 1)[0]
 
 
 def test_formats_md_bundle_section_matches_the_bundle_layout(bundle):
@@ -359,6 +373,10 @@ def _replace_line(path, lineno, edit):
     path.write_text("\n".join(lines) + "\n")
 
 
+def _keep_lines(path, count):
+    path.write_text("\n".join(path.read_text().splitlines()[:count]) + "\n")
+
+
 def _set_field(column, value):
     return lambda line: ",".join(value if i == column else v for i, v in enumerate(line.split(",")))
 
@@ -366,13 +384,18 @@ def _set_field(column, value):
 @pytest.mark.parametrize(
     "member, spoil",
     [
-        ("frames.csv", lambda d: _replace_line(d / "frames.csv", 2, _set_field(5, "nan"))),
-        ("frames.csv", lambda d: _replace_line(d / "frames.csv", 3, _set_field(0, "0"))),
-        ("ground_truth.csv: row 1", lambda d: _replace_line(d / "ground_truth.csv", 2, _set_field(0, "7.5"))),
+        ("frames.csv", lambda d: _replace_line(d / "frames.csv", 2, _set_field(4, "nan"))),
+        ("frames.csv: frame timestamps must be strictly increasing",
+         lambda d: _replace_line(d / "ground_truth.csv", 3, _set_field(0, "0"))),
+        ("frames.csv: 2 rows, but ground_truth.csv has 3", lambda d: _keep_lines(d / "frames.csv", 3)),
+        ("frames.csv: 3 rows, but ground_truth.csv has 2", lambda d: _keep_lines(d / "ground_truth.csv", 3)),
+        ("frames.csv: a scenario needs at least one frame",
+         lambda d: (_keep_lines(d / "ground_truth.csv", 1), _keep_lines(d / "frames.csv", 1))),
         ("map.cld", lambda d: (d / "map.cld").unlink()),
         ("scans/000001.cld", lambda d: (d / "scans" / "000001.cld").unlink()),
     ],
-    ids=["nan-roll", "non-increasing-times", "truth-time-differs", "missing-map", "missing-scan"],
+    ids=["nan-roll", "non-increasing-times", "fewer-frames", "fewer-truth-rows", "no-frames", "missing-map",
+         "missing-scan"],
 )
 def test_malformed_bundle_member_is_scenario_format_error(bundle, member, spoil):
     spoil(bundle)
@@ -398,13 +421,24 @@ def test_load_scenario_refuses_a_bundle_with_the_old_scan_column(bundle):
         load_scenario(bundle)
 
 
+def test_load_scenario_refuses_frames_with_the_old_time_column(bundle):
+    # Older bundles repeated each frame's time in frames.csv; it is the t of the same row of ground_truth.csv.
+    frames = bundle / "frames.csv"
+    times = [row.split(",")[0] for row in (bundle / "ground_truth.csv").read_text().splitlines()]
+    lines = frames.read_text().splitlines()
+    frames.write_text("\n".join(f"{t},{line}" for t, line in zip(times, lines)) + "\n")
+    old = "t," + FRAMES_HEADER
+    with pytest.raises(ScenarioFormatError, match=re.escape(f"{frames}: bad header '{old}'")):
+        load_scenario(bundle)
+
+
 def test_load_scenario_refuses_ground_truth_in_the_old_layout(bundle):
     # Older bundles copied each frame's roll and pitch into ground_truth.csv, with a source tag.
     truth = bundle / "ground_truth.csv"
     frames = (bundle / "frames.csv").read_text().splitlines()[1:]
     lines = truth.read_text().splitlines()[1:]
     old = [OLD_TRAJECTORY_HEADER] + [
-        ",".join([*row.split(",")[:4], *frame.split(",")[5:7], row.split(",")[4], "ground_truth"])
+        ",".join([*row.split(",")[:4], *frame.split(",")[4:6], row.split(",")[4], "ground_truth"])
         for row, frame in zip(lines, frames)
     ]
     truth.write_text("\n".join(old) + "\n")

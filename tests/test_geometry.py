@@ -7,7 +7,6 @@ from dfloc.geometry import (
     Attitude,
     Frame,
     FrameError,
-    OdomDelta,
     PointCloud,
     Pose4,
     apply_pose,
@@ -59,18 +58,18 @@ def test_apply_pose_inverse_round_trip():
 
 def test_compose_identity_neutral():
     pose = Pose4(1.0, -2.0, 0.5, 0.7)
-    out = compose(pose, OdomDelta.zero())
+    out = compose(pose, Pose4.identity())
     assert out == pose
 
 
 def test_compose_rotates_delta_into_parent_frame():
-    out = compose(Pose4(0.0, 0.0, 0.0, math.pi / 2), OdomDelta(1.0, 0.0, 0.0, 0.0))
+    out = compose(Pose4(0.0, 0.0, 0.0, math.pi / 2), Pose4(1.0, 0.0, 0.0, 0.0))
     assert np.allclose([out.tx, out.ty, out.tz], [0.0, 1.0, 0.0], atol=1e-15)
     assert out.yaw == pytest.approx(math.pi / 2)
 
 
 def test_compose_wraps_yaw():
-    out = compose(Pose4(0.0, 0.0, 0.0, 3.0), OdomDelta(0.0, 0.0, 0.0, 0.5))
+    out = compose(Pose4(0.0, 0.0, 0.0, 3.0), Pose4(0.0, 0.0, 0.0, 0.5))
     assert out.yaw == pytest.approx(3.5 - 2 * math.pi)
 
 
@@ -151,7 +150,3 @@ def test_tilt_compensate_rejects_wrong_frame():
     cloud = PointCloud(np.zeros((1, 3)), Frame.BODY)
     with pytest.raises(FrameError):
         tilt_compensate(cloud, Attitude.level())
-
-
-def test_odom_delta_wraps_dyaw():
-    assert OdomDelta(0, 0, 0, 7.0).dyaw == pytest.approx(7.0 - 2 * math.pi)

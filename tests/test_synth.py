@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dfloc.geometry import Attitude, OdomDelta, Pose4, apply_pose, attitude_matrix, compose
+from dfloc.geometry import Attitude, Pose4, apply_pose, attitude_matrix, compose
 from dfloc.nnsearch import brute_force_distances
 from dfloc.synth import (
     NoiseSetup,
@@ -176,22 +176,22 @@ def test_scan_requires_points_in_range():
 
 
 def test_corrupt_odometry_zero_sigma_identity():
-    deltas = [OdomDelta(0.1, 0.0, -0.05, 0.02), OdomDelta(0.0, 0.2, 0.0, -0.1)]
+    deltas = [Pose4(0.1, 0.0, -0.05, 0.02), Pose4(0.0, 0.2, 0.0, -0.1)]
     out = corrupt_odometry(deltas, NoiseSetup(0.0, 0.0), seed=1)
     assert out == deltas
 
 
 def test_corrupt_odometry_statistics():
-    deltas = [OdomDelta.zero()] * 4000
+    deltas = [Pose4.identity()] * 4000
     out = corrupt_odometry(deltas, NoiseSetup(0.25, 0.05), seed=2)
-    dt = np.array([[d.dtx, d.dty, d.dtz] for d in out])
-    dy = np.array([d.dyaw for d in out])
+    dt = np.array([d.translation for d in out])
+    dy = np.array([d.yaw for d in out])
     assert dt.std() == pytest.approx(0.25, rel=0.05)
     assert dy.std() == pytest.approx(0.05, rel=0.08)
 
 
 def test_corrupt_odometry_deterministic():
-    deltas = [OdomDelta(0.1, 0.05, 0.0, 0.01)] * 10
+    deltas = [Pose4(0.1, 0.05, 0.0, 0.01)] * 10
     a = corrupt_odometry(deltas, NoiseSetup(0.5, 0.1), seed=3)
     b = corrupt_odometry(deltas, NoiseSetup(0.5, 0.1), seed=3)
     assert a == b
@@ -214,7 +214,7 @@ def test_scenario_structure_and_determinism():
     b = make_scenario(scene, 12, 0.2, model, NoiseSetup(0.1, 0.02), seed=4)
     assert len(a.ground_truth) == len(a.frames) == 12
     clean = make_scenario(scene, 12, 0.2, model, NoiseSetup(), seed=4)
-    assert clean.frames[0].odom == OdomDelta.zero()
+    assert clean.frames[0].odom == Pose4.identity()
     for fa, fb in zip(a.frames, b.frames):
         assert np.array_equal(fa.cloud.points, fb.cloud.points)
         assert fa.odom == fb.odom and fa.attitude == fb.attitude

@@ -4,7 +4,7 @@ import pytest
 from dfloc import bench, tracker
 from dfloc.distance_field import DfGrid
 from dfloc.formats import RunConfig
-from dfloc.geometry import Attitude, Frame, OdomDelta, PointCloud, Pose4, compose, tilt_compensate
+from dfloc.geometry import Attitude, Frame, PointCloud, Pose4, compose, tilt_compensate
 from dfloc.nnsearch import build_index
 from dfloc.registration import icp_register
 from dfloc.synth import NoiseSetup, ScanModel, make_scenario
@@ -32,7 +32,7 @@ def test_stationary_robot_holds_pose(small_scene, small_grid):
     scenario = make_scenario(small_scene, 2, 0.15, ScanModel(max_range=10, points=500, noise_sigma=0.0),
                              NoiseSetup(), seed=51)
     pose = scenario.ground_truth[0]
-    frame = ScanFrame(scenario.frames[0].cloud, scenario.frames[0].attitude, OdomDelta.zero(), 0.0)
+    frame = ScanFrame(scenario.frames[0].cloud, scenario.frames[0].attitude, Pose4.identity(), 0.0)
     state = track_step(init_tracker(pose), frame, small_grid)
     assert np.linalg.norm(state.current_pose.translation - pose.translation) < 5e-3
 
@@ -96,7 +96,7 @@ def test_replay_determinism(small_scene, small_grid):
 def test_failure_surfaces_step_index(small_grid):
     # a cloud entirely outside the grid -> registration error -> TrackStepError
     cloud = PointCloud(np.zeros((20, 3)), Frame.SENSOR)
-    frame = ScanFrame(cloud, Attitude.level(), OdomDelta.zero(), 0.0)
+    frame = ScanFrame(cloud, Attitude.level(), Pose4.identity(), 0.0)
     state = init_tracker(Pose4(1000.0, 1000.0, 1000.0, 0.0))
     with pytest.raises(TrackStepError) as err:
         track_step(state, frame, small_grid)
@@ -115,7 +115,7 @@ def test_pose_continuity_under_bounded_noise(small_scene, small_grid):
         state = track_step(state, frame, small_grid)
         jump = np.linalg.norm(state.current_pose.translation - prev.translation)
         # odometry delta + noise bound + 3x per-step error tolerance
-        odom_norm = np.linalg.norm([frame.odom.dtx, frame.odom.dty, frame.odom.dtz])
+        odom_norm = np.linalg.norm(frame.odom.translation)
         assert jump <= odom_norm + 4 * sigma_t + 3 * per_step_tol
         prev = state.current_pose
 
