@@ -374,6 +374,8 @@ def load_scenario(directory) -> ScenarioRun:
         cloud = read_cloud(directory / member, Frame.MAP)
         member = "ground_truth.csv"
         truth = read_trajectory(directory / member)
+        if any(a.timestamp >= b.timestamp for a, b in zip(truth, truth[1:])):
+            raise ValueError("frame times t must be strictly increasing")
         member = "frames.csv"
         rows = read_csv(directory / member, FRAMES_HEADER, ScenarioFormatError, _frame_row)
         if len(rows) != len(truth):

@@ -133,8 +133,8 @@ def brute_force_distances(points, queries, block: int | None = None) -> np.ndarr
     queries = np.asarray(queries, dtype=np.float64)
     single = queries.ndim == 1
     q = queries[None, :] if single else queries
-    if block is None:
-        block = max(1, 16_000_000 // pts.shape[0])
+    if block is None:  # about 1 M elements, 8 MB, per (block, N) temporary
+        block = max(1, 1_000_000 // pts.shape[0])
     p2 = (pts**2).sum(axis=1)
     win = np.empty(q.shape[0], dtype=np.intp)
     for start in range(0, q.shape[0], block):

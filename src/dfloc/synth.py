@@ -8,6 +8,12 @@ Scans are produced by range-limited subsampling of the map rather than
 ray casting. That is enough to exercise registration, which cares about
 point geometry, not visibility; occlusion effects are a known fidelity
 limitation.
+
+Synthesis builds no search index over the map. A scan's in-range test
+sums squared offsets one axis at a time, which gives the bits of the
+(N, 3) reduction without its temporary. A trajectory's clearance is
+checked exactly, by linear scan, against only the map points that fall
+in the path's bounding box grown by the clearance.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from .geometry import (
     rotate_z,
     wrap_angle,
 )
-from .nnsearch import KdTree3
+from .nnsearch import brute_force_distances
 from .tracker import ScanFrame
 
 SCENE_KINDS = ("box_room", "building_yard")
@@ -189,7 +195,10 @@ def make_trajectory(scene: Scene, steps: int, step_length: float, seed: int = 0)
     keeps at least TRAJECTORY_CLEARANCE (plus a generation-time buffer)
     from the map surface. Loop shapes are drawn per seed and rejected
     until one satisfies clearance and turn-rate bounds; raises when the
-    scene leaves no room.
+    scene leaves no room. Clearance is the exact ``brute_force_distances``
+    from each pose to the map points inside the path's bounding box grown
+    by the buffer plus a margin; no other map point can be nearer than the
+    buffer, so the decision is that of a search over the whole map.
     """
     if steps < 2:
         raise ValueError("a trajectory needs at least 2 steps")
@@ -200,12 +209,15 @@ def make_trajectory(scene: Scene, steps: int, step_length: float, seed: int = 0)
     hi = scene.bounds[1] - buffer
     if (hi <= lo).any():
         raise ValueError("scene too small for the required trajectory clearance")
+    # A map point within `reach` of a pose lies in the path's bounding box grown by
+    # `reach`; the margin over `buffer` is far above rounding in the distances.
+    reach = buffer + 1e-3
+    map_pts = scene.map.points
     rng = np.random.default_rng(seed)
-    index = KdTree3(scene.map)
     center = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     # Prefer cruising above interior obstacles when the scene has them.
-    top = float(scene.map.points[:, 2].max())
+    top = float(map_pts[:, 2].max())
     if top + buffer + 0.1 < hi[2]:
         z_lo = max(lo[2], top + buffer + 0.1)
         z_mid = 0.5 * (z_lo + hi[2])
@@ -278,8 +290,9 @@ def make_trajectory(scene: Scene, steps: int, step_length: float, seed: int = 0)
             continue
         if (path < lo).any() or (path > hi).any():
             continue
-        _, clearance = index.nearest_many(path)
-        if clearance.min() < buffer:
+        box = (map_pts >= path.min(axis=0) - reach) & (map_pts <= path.max(axis=0) + reach)
+        near = map_pts[box.all(axis=1)]
+        if len(near) and brute_force_distances(near, path).min() < buffer:
             continue
         return [Pose4(p[0], p[1], p[2], yaw) for p, yaw in zip(path, yaws)]
     raise ValueError("scene too small for the required trajectory clearance")
@@ -306,16 +319,22 @@ def simulate_scan(
     origin, expresses them in the sensor frame (inverse pose, then inverse
     tilt), adds isotropic Gaussian noise, and replaces
     floor(outlier_fraction * points) of them with uniform clutter inside
-    the range ball. Raises when no map point is in range.
+    the range ball. Raises when no map point is in range. A point is in
+    range when its squared offset, summed one axis at a time as
+    (x + y) + z, is at most max_range squared.
     """
     rng = np.random.default_rng(seed)
-    origin = pose.translation
-    d2 = ((scene.map.points - origin) ** 2).sum(axis=1)
+    pts, origin = scene.map.points, pose.translation
+    # One axis at a time, summed (x + y) + z: the bits of ((pts - origin) ** 2).sum(axis=1)
+    # without an (N, 3) temporary.
+    d2 = np.square(pts[:, 0] - origin[0])
+    d2 += np.square(pts[:, 1] - origin[1])
+    d2 += np.square(pts[:, 2] - origin[2])
     in_range = np.flatnonzero(d2 <= model.max_range * model.max_range)
     if in_range.size == 0:
         raise ValueError(f"no map points within {model.max_range} m of the scan pose")
     pick = rng.choice(in_range, size=model.points, replace=in_range.size < model.points)
-    body = rotate_z(-pose.yaw, scene.map.points[pick] - origin)
+    body = rotate_z(-pose.yaw, pts[pick] - origin)
     # p_sensor = R^T p_body for R = attitude_matrix; row-stacked: body @ R.
     sensor = body @ attitude_matrix(attitude)
     sensor = sensor + rng.normal(0.0, model.noise_sigma, size=sensor.shape)

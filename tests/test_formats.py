@@ -385,7 +385,7 @@ def _set_field(column, value):
     "member, spoil",
     [
         ("frames.csv", lambda d: _replace_line(d / "frames.csv", 2, _set_field(4, "nan"))),
-        ("frames.csv: frame timestamps must be strictly increasing",
+        ("ground_truth.csv: frame times t must be strictly increasing",
          lambda d: _replace_line(d / "ground_truth.csv", 3, _set_field(0, "0"))),
         ("frames.csv: 2 rows, but ground_truth.csv has 3", lambda d: _keep_lines(d / "frames.csv", 3)),
         ("frames.csv: 3 rows, but ground_truth.csv has 2", lambda d: _keep_lines(d / "ground_truth.csv", 3)),

@@ -1,15 +1,18 @@
+import itertools
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from dfloc.geometry import Attitude, Pose4, apply_pose, attitude_matrix, compose
+from dfloc.geometry import Attitude, Frame, PointCloud, Pose4, apply_pose, attitude_matrix, compose
 from dfloc.nnsearch import brute_force_distances
 from dfloc.synth import (
+    TRAJECTORY_CLEARANCE,
     NoiseSetup,
     ScanModel,
     ScenarioRun,
+    Scene,
     corrupt_odometry,
     make_scenario,
     make_scene,
@@ -93,6 +96,43 @@ def test_trajectory_clearance_via_brute_force():
     assert d.min() >= 0.5
 
 
+def _points_around(path, k, distance):
+    """Two points near ``path[k]``: one exactly ``distance`` from it, and the farthest point a few
+    ulps closer. Both lie farther than ``distance`` from every other path point."""
+    q, others = path[k], np.delete(path, k, axis=0)
+    steps = np.stack(np.meshgrid(*[np.arange(-8, 9)] * 3), axis=-1).reshape(-1, 3)
+    for direction in itertools.permutations([0.6, 0.8, 0.0]):
+        for sign in itertools.product([1.0, -1.0], repeat=3):
+            p0 = q + distance * np.multiply(sign, direction)
+            cands = p0 + steps * np.spacing(p0)
+            dist = np.sqrt(((cands - q) ** 2).sum(axis=1))
+            if (dist == distance).any() and brute_force_distances(others, p0) > distance + 0.01:
+                at = cands[np.flatnonzero(dist == distance)[0]]
+                inside = cands[np.argmax(np.where(dist < distance, dist, -1.0))]
+                assert brute_force_distances(at[None], q) == distance > brute_force_distances(inside[None], q)
+                return at, inside
+    raise AssertionError("no direction puts a point exactly at the distance")
+
+
+def test_trajectory_clearance_decision_matches_brute_force_over_the_whole_map():
+    scene = make_scene("box_room", 8.0, 30.0, seed=17)
+    poses = make_trajectory(scene, 40, 0.2, seed=6)
+    path = np.array([p.translation for p in poses])
+    buffer = TRAJECTORY_CLEARANCE + 0.1
+    clearance = brute_force_distances(scene.map, path)
+    k = int(np.argmax(clearance))
+    assert clearance[k] > buffer + 0.1  # the added point is the unique nearest one
+    at, inside = _points_around(path, k, buffer)
+    # Just inside, outward along one axis from the pose at the path's extent on that axis: only the
+    # bounding box's growth on that side keeps the point among those checked.
+    outward = [path[np.argmax(sign * path[:, i])] + sign * (buffer - 1e-6) * np.eye(3)[i]
+               for i in range(3) for sign in (1.0, -1.0)]
+    for extra, accepted in [(at, True), (inside, False)] + [(p, False) for p in outward]:
+        grown = Scene(PointCloud(np.vstack([scene.map.points, extra]), Frame.MAP), scene.bounds)
+        assert (brute_force_distances(grown.map, path).min() >= buffer) == accepted
+        assert (make_trajectory(grown, 40, 0.2, seed=6) == poses) is accepted
+
+
 def test_trajectory_bounded_yaw_rate():
     scene = make_scene("box_room", 10.0, 30.0, seed=10)
     poses = make_trajectory(scene, 80, 0.2, seed=4)
@@ -166,6 +206,31 @@ def test_scan_noise_mean_matches_chi_distribution():
     d = brute_force_distances(scene.map, mapped)
     expected = sigma * math.sqrt(8.0 / math.pi)
     assert d.mean() == pytest.approx(expected, rel=0.10)
+
+
+def test_scan_in_range_set_is_the_summed_squared_distance_test():
+    origin, r = np.array([4.0, 4.0, 2.0]), 3.0
+    rng = np.random.default_rng(18)
+    inner = rng.uniform(0.5, 7.5, size=(2000, 3)) * [1.0, 1.0, 0.5]
+    direction = rng.normal(size=(400, 3))
+    direction /= np.linalg.norm(direction, axis=1, keepdims=True)
+    scale = r * (1.0 + np.arange(-4, 4) * 2.0**-52)
+    shell = origin + (scale[:, None, None] * direction).reshape(-1, 3)
+    at_range = origin + r * np.vstack([np.eye(3), -np.eye(3)])
+    beyond = origin + np.diag(np.nextafter(origin + r, np.inf) - origin)  # one ulp past, on each + axis
+    pts = np.vstack([inner, shell, at_range, beyond])
+    scene = Scene(PointCloud(pts, Frame.MAP), np.array([pts.min(axis=0), pts.max(axis=0)]))
+    d2 = ((pts - origin) ** 2).sum(axis=1)
+    assert (d2[-9:-3] == r * r).all() and (d2[-3:] > r * r).all()
+    expected = pts[d2 <= r * r] - origin
+    assert len(expected) < len(pts) - 3  # the shell straddles the range, not only the three points beyond it
+    model = ScanModel(max_range=r, points=len(expected), noise_sigma=0.0)
+    scan = simulate_scan(scene, Pose4(*origin, 0.0), Attitude.level(), model, seed=10)
+
+    def rows(a):
+        return a[np.lexsort(a.T[::-1])]
+
+    assert np.array_equal(rows(scan.points), rows(expected))
 
 
 def test_scan_requires_points_in_range():
