@@ -43,7 +43,6 @@ from .registration import (
     icp_register,
 )
 from .solver import (
-    LossKind,
     RobustLoss,
     SolveReport,
     SolverOptions,

@@ -260,7 +260,6 @@ class RunConfig:
 # Config key -> attribute path in RunConfig. Defaults and constraints live
 # on the option dataclasses; a value is parsed by the type of its default.
 CONFIG_KEYS = {
-    "loss.kind": "loss.kind",
     "loss.scale": "loss.scale",
     "solver.max_iterations": "solver.max_iterations",
     "solver.param_tolerance": "solver.param_tolerance",

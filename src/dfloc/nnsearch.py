@@ -120,7 +120,7 @@ def brute_force_nearest(points, q) -> tuple[np.ndarray, float]:
     return p, float(_exact_distance(q, p))
 
 
-def brute_force_distances(points, queries, block: int | None = None) -> np.ndarray:
+def brute_force_distances(points, queries) -> np.ndarray:
     """Exact nearest distance from each query to the cloud by blocked linear scan.
 
     The argmin runs on the expanded |q|^2 - 2 q.p + |p|^2 form (fast, BLAS),
@@ -133,8 +133,8 @@ def brute_force_distances(points, queries, block: int | None = None) -> np.ndarr
     queries = np.asarray(queries, dtype=np.float64)
     single = queries.ndim == 1
     q = queries[None, :] if single else queries
-    if block is None:  # about 1 M elements, 8 MB, per (block, N) temporary
-        block = max(1, 1_000_000 // pts.shape[0])
+    # About 1 M elements, 8 MB, per (block, N) temporary.
+    block = max(1, 1_000_000 // pts.shape[0])
     p2 = (pts**2).sum(axis=1)
     win = np.empty(q.shape[0], dtype=np.intp)
     for start in range(0, q.shape[0], block):

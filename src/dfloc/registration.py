@@ -37,7 +37,6 @@ from .geometry import (
 )
 from .nnsearch import KdTree3, nearest_moving
 from .solver import (
-    LossKind,
     ResidualProvider,
     RobustLoss,
     SolveReport,
@@ -88,8 +87,8 @@ class IcpReport:
 class RegistrationResult:
     """Refined pose plus diagnostics. points_used + points_out_of_map always
     equals the input cloud size. For ``dll_register``, ``report`` is the
-    fine pass and ``coarse_report`` the coarse pass (None when it did not
-    run); ICP results carry no coarse report."""
+    fine pass and ``coarse_report`` the coarse pass; ICP results carry no
+    coarse report."""
 
     pose: Pose4
     report: SolveReport | IcpReport
@@ -154,7 +153,9 @@ def _check_registration_cloud(cloud: PointCloud) -> None:
         raise ValueError("cannot register an empty cloud")
 
 
+# Cauchy width and step-tolerance floor of dll_register's coarse pass.
 COARSE_CAUCHY_SCALE = 1.0
+COARSE_PARAM_TOLERANCE = 1e-2
 
 
 def dll_register(
@@ -168,12 +169,12 @@ def dll_register(
 
     With a narrow Cauchy kernel the robust cost flattens around guesses
     more than a few kernel widths off, so the refinement is scheduled
-    coarse-to-fine: one pass with the kernel widened to
-    ``COARSE_CAUCHY_SCALE`` (1.0), then the configured loss, started from
-    whichever of the guess and the coarse result scores better under the
-    final loss. The returned cost therefore never exceeds the cost at the
-    guess. Both passes run under ``opts``; the coarse pass only loosens
-    the step tolerance to at least 1e-2. Each pose is evaluated once: the
+    coarse-to-fine: one pass with the kernel width set to
+    ``COARSE_CAUCHY_SCALE``, then ``loss``, started from whichever of the
+    guess and the coarse result scores better under ``loss``. The returned
+    cost therefore never exceeds the cost at the guess. Both passes run
+    under ``opts``; the coarse pass only loosens the step tolerance to at
+    least ``COARSE_PARAM_TOLERANCE``. Each pose is evaluated once: the
     fine pass starts from the coarse pass's own evaluation.
 
     Raises UnobservableCloudError when no point lands inside the grid at
@@ -183,28 +184,23 @@ def dll_register(
     _check_registration_cloud(cloud)
     start = time.perf_counter()
     provider = df_residuals(grid, cloud.points)
-    coarse = None
-    x0, at_x0 = guess, None
-    if loss.kind is LossKind.CAUCHY and COARSE_CAUCHY_SCALE > loss.scale:
-        # The coarse pass only has to reach the right basin; a loose step
-        # tolerance keeps it cheap, polishing is the fine pass's job.
-        coarse_opts = replace(opts, param_tolerance=max(opts.param_tolerance, 1e-2))
-        coarse = solve_lm(provider, guess, RobustLoss(LossKind.CAUCHY, COARSE_CAUCHY_SCALE), coarse_opts)
-        at_x0 = coarse.initial_evaluation
-        if coarse.termination is not Termination.NUMERICAL_FAILURE:
-            cost_guess, _ = loss.cost_and_weights(at_x0[0])
-            cost_pre, _ = loss.cost_and_weights(coarse.final_evaluation[0])
-            if cost_pre < cost_guess:
-                x0, at_x0 = coarse.final_params, coarse.final_evaluation
-    report = solve_lm(provider, x0, loss, opts, start=at_x0)
-    # Checked after the solves, from their evaluation at the guess: with no
-    # point inside, every residual is the same constant and the solves stop
-    # at once.
-    at_guess = (coarse if coarse is not None else report).initial_evaluation
-    if not at_guess.inside.any():
+    # The coarse pass only has to reach the right basin; a loose step
+    # tolerance keeps it cheap, polishing is the fine pass's job.
+    coarse_opts = replace(opts, param_tolerance=max(opts.param_tolerance, COARSE_PARAM_TOLERANCE))
+    coarse = solve_lm(provider, guess, RobustLoss(COARSE_CAUCHY_SCALE), coarse_opts)
+    x0, at_x0 = guess, coarse.initial_evaluation
+    # With no point inside, every residual is the same constant and the
+    # coarse pass stopped at once.
+    if not at_x0.inside.any():
         raise UnobservableCloudError(
             f"all {len(cloud)} points fall outside the distance field at the initial guess"
         )
+    if coarse.termination is not Termination.NUMERICAL_FAILURE:
+        cost_guess, _ = loss.cost_and_weights(at_x0[0])
+        cost_pre, _ = loss.cost_and_weights(coarse.final_evaluation[0])
+        if cost_pre < cost_guess:
+            x0, at_x0 = coarse.final_params, coarse.final_evaluation
+    report = solve_lm(provider, x0, loss, opts, start=at_x0)
     if report.termination is Termination.NUMERICAL_FAILURE:
         raise RegistrationError("solver reported a numerical failure")
     elapsed = time.perf_counter() - start

@@ -32,11 +32,6 @@ DAMPING_INCREASE = 10.0
 DAMPING_DECREASE = 0.5
 
 
-class LossKind(enum.Enum):
-    NONE = "none"
-    CAUCHY = "cauchy"
-
-
 class Termination(enum.Enum):
     PARAM_TOL = "param_tol"
     COST_TOL = "cost_tol"
@@ -62,26 +57,16 @@ def cauchy_rho(s, scale: float) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class RobustLoss:
-    """Loss applied to each squared residual: plain quadratic or Cauchy.
+    """Cauchy loss of width ``scale`` applied to each squared residual."""
 
-    ``scale`` is the Cauchy width. It must be positive for either kind, so
-    switching ``kind`` never turns a rejected scale into an accepted one.
-    """
-
-    kind: LossKind = LossKind.CAUCHY
     scale: float = 0.1
 
     def __post_init__(self):
-        if not isinstance(self.kind, LossKind):
-            object.__setattr__(self, "kind", LossKind(self.kind))
         if not 0.0 < self.scale < math.inf:
             raise ValueError(f"loss scale must be positive and finite, got {self.scale}")
 
     def cost_and_weights(self, r: np.ndarray) -> tuple[float, np.ndarray]:
-        s = r * r
-        if self.kind is LossKind.NONE:
-            return float(s.sum()), np.ones_like(s)
-        rho, w = cauchy_rho(s, self.scale)
+        rho, w = cauchy_rho(r * r, self.scale)
         return float(rho.sum()), w
 
 
@@ -97,8 +82,9 @@ class SolverOptions:
     scaled by DAMPING_DECREASE after each accepted step and by
     DAMPING_INCREASE after each rejected one. ``dll_register``
     runs both of its passes under these options; its coarse pass only
-    loosens the step tolerance to at least 1e-2 and widens the Cauchy
-    kernel to 1.0.
+    loosens the step tolerance to at least ``COARSE_PARAM_TOLERANCE`` and
+    sets the Cauchy width to ``COARSE_CAUCHY_SCALE`` (both in
+    ``registration``).
     """
 
     max_iterations: int = 50
@@ -155,12 +141,14 @@ def solve_lm(
 ) -> SolveReport:
     """Run the damped iteration from ``x0`` until a tolerance or budget hits.
 
-    ``start``, when given, is the provider's output at ``x0`` (for example
-    an earlier solve's ``final_evaluation``); the solve then does not
-    evaluate ``x0`` again. Accepted robust costs are strictly decreasing;
-    yaw is re-wrapped after every accepted step (Pose4 wraps on
-    construction). Deterministic: identical inputs produce a bitwise
-    identical report.
+    ``loss`` is any object with ``cost_and_weights(r) -> (cost, weights)``:
+    the total cost of the residuals ``r`` and the per-residual weights
+    ``rho'(r^2)`` of the reweighted system. ``start``, when given, is the
+    provider's output at ``x0`` (for example an earlier solve's
+    ``final_evaluation``); the solve then does not evaluate ``x0`` again.
+    Accepted robust costs are strictly decreasing; yaw is re-wrapped after
+    every accepted step (Pose4 wraps on construction). Deterministic:
+    identical inputs produce a bitwise identical report.
     """
     x = x0.as_array()
     pose = Pose4.from_array(x)

@@ -390,6 +390,22 @@ def test_load_rejects_non_finite_coefficient(tmp_path, small_grid):
         load_grid(path)
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=pytest.fail.Exception,
+    reason="a .df file stores the coefficient table, and load_grid does not check it against the nodes",
+)
+def test_load_rejects_coefficients_that_are_not_the_fit_of_the_nodes(tmp_path):
+    spec = plan_grid(UNIT_CUBE, 0.5, margin=0.5)
+    nodes = build_grid(UNIT_CUBE, spec).node_distances
+    table = fit_cell_coeffs(nodes, spec.resolution)
+    table[1, 2, 3, 0] = np.nextafter(table[1, 2, 3, 0], math.inf)  # one ulp off, still finite
+    path = tmp_path / "stale.df"
+    save_grid(DfGrid(spec, nodes, table), path)
+    with pytest.raises(GridFileError):
+        load_grid(path)
+
+
 @pytest.mark.parametrize(
     "field, value",
     [("resolution", math.inf), ("margin", math.nan), ("margin", math.inf)],

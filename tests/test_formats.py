@@ -1,4 +1,3 @@
-import enum
 import math
 import re
 import struct
@@ -216,7 +215,6 @@ def test_config_constraint_violation():
 # plus NaN and inf for every float key: NaN fails every comparison, so a check
 # written as `x < 0` would let it through, and inf passes `x > 0`.
 CONSTRAINT_VIOLATIONS = {
-    "loss.kind": ["huber"],
     "loss.scale": ["0", "nan", "inf"],
     "solver.max_iterations": ["0"],
     "solver.param_tolerance": ["0", "nan", "inf"],
@@ -239,10 +237,11 @@ CONSTRAINT_VIOLATIONS = {
     "seed": ["1.5", "-1"],
 }
 
-# Keys that were once config keys and are now constants of solver and synth.
-# The values that used to violate their constraints must still be refused, now
-# as unknown keys.
+# Keys that were once config keys: the damping factors and the frame spacing
+# are now constants of solver and synth, and the loss is always Cauchy. The
+# values they used to take or refuse must all be refused now, as unknown keys.
 RETIRED_KEY_VIOLATIONS = {
+    "loss.kind": ["cauchy", "none", "huber"],
     "solver.damping_increase": ["1", "nan", "inf"],
     "solver.damping_decrease": ["0", "1", "nan", "inf"],
     "trajectory.frame_dt": ["0", "nan", "inf"],
@@ -257,11 +256,6 @@ def test_config_constraint_table(key, value):
     expected = f"unknown key '{key}'" if key in RETIRED_KEY_VIOLATIONS else f"'{key}'"
     with pytest.raises(ConfigError, match=re.escape(expected)):
         config_from_dict({key: value})
-
-
-def test_config_loss_scale_checked_without_cauchy():
-    with pytest.raises(ConfigError, match="loss.scale"):
-        config_from_dict({"loss.kind": "none", "loss.scale": "-1"})
 
 
 def _formats_md() -> str:
@@ -291,9 +285,7 @@ def test_formats_md_config_table_matches_defaults():
         value = defaults
         for name in CONFIG_KEYS[key].split("."):
             value = getattr(value, name)
-        if isinstance(value, enum.Enum):
-            assert documented == value.value, key
-        elif isinstance(value, str):
+        if isinstance(value, str):
             assert documented == value, key
         else:
             assert float(documented) == value, key
@@ -301,11 +293,11 @@ def test_formats_md_config_table_matches_defaults():
 
 def test_config_file_parsing(tmp_path):
     path = tmp_path / "run.cfg"
-    path.write_text("# comment\nscene.extent = 20.0\nseed = 9\n\nloss.kind = none\n")
+    path.write_text("# comment\nscene.extent = 20.0\nseed = 9\n\nloss.scale = 0.25\n")
     cfg = load_config(path)
     assert cfg.sim.extent == 20.0
     assert cfg.seed == 9
-    assert cfg.loss.kind.value == "none"
+    assert cfg.loss.scale == 0.25
 
 
 def test_keyvalue_syntax_error(tmp_path):

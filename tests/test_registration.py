@@ -18,6 +18,7 @@ from dfloc.geometry import (
 )
 from dfloc.nnsearch import build_index
 from dfloc.registration import (
+    COARSE_PARAM_TOLERANCE,
     IcpOptions,
     IcpReport,
     NoCorrespondencesError,
@@ -27,7 +28,7 @@ from dfloc.registration import (
     dll_register,
     icp_register,
 )
-from dfloc.solver import LossKind, RobustLoss, SolverOptions
+from dfloc.solver import RobustLoss, SolverOptions
 from dfloc.synth import ScanModel, simulate_scan
 
 
@@ -85,11 +86,20 @@ def test_dll_rejects_wrong_frame_and_empty(small_grid):
         dll_register(PointCloud(np.empty((0, 3)), Frame.BODY), small_grid, Pose4.identity())
 
 
-def test_dll_all_points_outside_grid_is_unobservable(small_scene, small_grid):
+def test_dll_all_points_outside_grid_is_unobservable(monkeypatch, small_scene, small_grid):
     body = _scan_at(small_scene, Pose4(3, 3, 1.5, 0.0), seed=34)
     far = Pose4(500.0, 500.0, 500.0, 0.0)
+    solves = []
+    real = registration.solve_lm
+
+    def spy(*args, **kwargs):
+        solves.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(registration, "solve_lm", spy)
     with pytest.raises(UnobservableCloudError):
         dll_register(body, small_grid, far)
+    assert solves == [far], "the fine pass ran after the coarse pass saw no point inside"
 
 
 def test_dll_half_out_of_grid_registers(small_scene, small_grid):
@@ -323,14 +333,16 @@ def test_dll_evaluates_each_pose_once(monkeypatch, small_scene, small_grid, offs
     assert len(set(calls)) == len(calls), "a pose was evaluated twice"
 
 
-def test_dll_without_coarse_pass_counts_fine_evaluations(monkeypatch, small_scene, small_grid):
+@pytest.mark.parametrize("scale", [0.1, 2.0])
+def test_dll_always_runs_the_coarse_pass(monkeypatch, small_scene, small_grid, scale):
+    # Also with a fine kernel wider than the coarse one.
     true = Pose4(3.0, 2.5, 1.2, 0.4)
     body = _scan_at(small_scene, true, seed=47, noise=0.01)
     _forbid_query_many(monkeypatch)
     calls = _record_query_columns(monkeypatch)
-    res = dll_register(body, small_grid, Pose4(3.05, 2.45, 1.2, 0.41), RobustLoss(LossKind.NONE))
-    assert res.coarse_report is None
-    assert len(calls) == res.report.evaluations
+    res = dll_register(body, small_grid, Pose4(3.05, 2.45, 1.2, 0.41), RobustLoss(scale))
+    assert res.coarse_report is not None
+    assert len(calls) == res.coarse_report.evaluations + res.report.evaluations
 
 
 def test_dll_points_used_matches_field_query_at_result(small_scene, small_grid):
@@ -374,7 +386,7 @@ def test_coarse_pass_takes_the_caller_options_with_a_loose_stop(
     opts = SolverOptions(initial_damping=damping, max_iterations=max_iterations)
     dll_register(body, small_grid, Pose4(3.2, 2.4, 1.3, 0.45), opts=opts)
     coarse, fine = seen
-    assert coarse == replace(opts, param_tolerance=max(opts.param_tolerance, 1e-2))
+    assert coarse == replace(opts, param_tolerance=max(opts.param_tolerance, COARSE_PARAM_TOLERANCE))
     assert fine is opts
 
 

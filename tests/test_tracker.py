@@ -180,8 +180,7 @@ def test_dll_tracking_stays_within_an_evaluation_budget(monkeypatch, small_grid,
 
     def spy(*args, **kwargs):
         res = real(*args, **kwargs)
-        coarse = res.coarse_report.evaluations if res.coarse_report is not None else 0
-        evaluations.append(coarse + res.report.evaluations)
+        evaluations.append(res.coarse_report.evaluations + res.report.evaluations)
         return res
 
     monkeypatch.setattr(bench, "dll_register", spy)
