@@ -45,7 +45,6 @@ from .registration import (
 from .solver import (
     RobustLoss,
     SolveReport,
-    SolverOptions,
     Termination,
     cauchy_rho,
     solve_lm,

@@ -78,8 +78,8 @@ def run_tracking(
 
     The tracker starts from the true initial pose. ``grid`` is required
     for the field method, ``map_index`` for the ICP baseline. ``cfg``
-    supplies the loss, the solver and ICP options, and the seed of the
-    mode's odometry noise.
+    supplies the loss, the ICP options and the seed of the mode's
+    odometry noise.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method '{method}' (expected one of {METHODS})")
@@ -90,7 +90,7 @@ def run_tracking(
 
     def register(body: PointCloud, guess: Pose4) -> RegistrationResult:
         if method == "dll":
-            return dll_register(body, grid, guess, cfg.loss, cfg.solver)
+            return dll_register(body, grid, guess, cfg.loss)
         return icp_register(body, map_index, guess, cfg.icp)
 
     if method == "dll":

@@ -19,7 +19,7 @@ import numpy as np
 
 from .geometry import Attitude, Frame, PointCloud, Pose4
 from .registration import IcpOptions
-from .solver import RobustLoss, SolverOptions
+from .solver import RobustLoss
 from .synth import SCENE_KINDS, NoiseSetup, ScanModel, ScenarioRun
 from .tracker import ScanFrame
 
@@ -246,7 +246,6 @@ class RunConfig:
     """Settings read by simulate, localize and benchmark; grid settings are build-df flags."""
 
     loss: RobustLoss = field(default_factory=RobustLoss)
-    solver: SolverOptions = field(default_factory=SolverOptions)
     icp: IcpOptions = field(default_factory=IcpOptions)
     noise: NoiseSetup = field(default_factory=NoiseSetup)
     sim: SimOptions = field(default_factory=SimOptions)
@@ -261,13 +260,7 @@ class RunConfig:
 # on the option dataclasses; a value is parsed by the type of its default.
 CONFIG_KEYS = {
     "loss.scale": "loss.scale",
-    "solver.max_iterations": "solver.max_iterations",
-    "solver.param_tolerance": "solver.param_tolerance",
-    "solver.cost_tolerance": "solver.cost_tolerance",
-    "solver.initial_damping": "solver.initial_damping",
-    "icp.max_iterations": "icp.max_iterations",
     "icp.max_correspondence_distance": "icp.max_correspondence_distance",
-    "icp.convergence_epsilon": "icp.convergence_epsilon",
     "noise.sigma_t": "noise.sigma_t",
     "noise.sigma_yaw": "noise.sigma_yaw",
     "scene.kind": "sim.scene_kind",

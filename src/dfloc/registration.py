@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,7 +40,6 @@ from .solver import (
     ResidualProvider,
     RobustLoss,
     SolveReport,
-    SolverOptions,
     Termination,
     solve_lm,
 )
@@ -58,21 +57,23 @@ class NoCorrespondencesError(RegistrationError):
     """An ICP iteration found no usable point pairs."""
 
 
+# ICP's iteration budget, that of the baseline setup.
+ICP_MAX_ITERATIONS = 50
+# ICP has converged once no pose component (m or rad) moves by this much in
+# one iteration: the correspondences, and so the alignment, then repeat.
+ICP_CONVERGENCE_EPSILON = 1e-9
+
+
 @dataclass(frozen=True)
 class IcpOptions:
-    """ICP configuration; defaults follow the baseline setup (50 iterations,
-    0.1 m correspondence radius)."""
+    """ICP configuration: the correspondence radius, 0.1 m as in the baseline
+    setup. It depends on the map's point spacing."""
 
-    max_iterations: int = 50
     max_correspondence_distance: float = 0.1
-    convergence_epsilon: float = 1e-9
 
     def __post_init__(self):
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
-        for name in ("max_correspondence_distance", "convergence_epsilon"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be positive and finite")
+        if not 0.0 < self.max_correspondence_distance < math.inf:
+            raise ValueError("max_correspondence_distance must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -153,9 +154,13 @@ def _check_registration_cloud(cloud: PointCloud) -> None:
         raise ValueError("cannot register an empty cloud")
 
 
-# Cauchy width and step-tolerance floor of dll_register's coarse pass.
+# Cauchy width and step tolerance (m or rad) of dll_register's coarse pass.
+# That pass only has to reach the right basin; a loose step tolerance keeps
+# it cheap, polishing is the fine pass's job.
 COARSE_CAUCHY_SCALE = 1.0
 COARSE_PARAM_TOLERANCE = 1e-2
+# Step tolerance of the fine pass: far below a field cell and the scan noise.
+PARAM_TOLERANCE = 1e-4
 
 
 def dll_register(
@@ -163,19 +168,17 @@ def dll_register(
     grid: DfGrid,
     guess: Pose4,
     loss: RobustLoss = RobustLoss(),
-    opts: SolverOptions = SolverOptions(),
 ) -> RegistrationResult:
     """Refine ``guess`` by minimizing the robust distance-field objective.
 
     With a narrow Cauchy kernel the robust cost flattens around guesses
     more than a few kernel widths off, so the refinement is scheduled
-    coarse-to-fine: one pass with the kernel width set to
-    ``COARSE_CAUCHY_SCALE``, then ``loss``, started from whichever of the
-    guess and the coarse result scores better under ``loss``. The returned
-    cost therefore never exceeds the cost at the guess. Both passes run
-    under ``opts``; the coarse pass only loosens the step tolerance to at
-    least ``COARSE_PARAM_TOLERANCE``. Each pose is evaluated once: the
-    fine pass starts from the coarse pass's own evaluation.
+    coarse-to-fine: one pass with the kernel width ``COARSE_CAUCHY_SCALE``
+    and the step tolerance ``COARSE_PARAM_TOLERANCE``, then one with
+    ``loss`` and ``PARAM_TOLERANCE``, started from whichever of the guess
+    and the coarse result scores better under ``loss``. The returned cost
+    therefore never exceeds the cost at the guess. Each pose is evaluated
+    once: the fine pass starts from the coarse pass's own evaluation.
 
     Raises UnobservableCloudError when no point lands inside the grid at
     the guess (the pose is unconstrained there), and RegistrationError if
@@ -184,10 +187,7 @@ def dll_register(
     _check_registration_cloud(cloud)
     start = time.perf_counter()
     provider = df_residuals(grid, cloud.points)
-    # The coarse pass only has to reach the right basin; a loose step
-    # tolerance keeps it cheap, polishing is the fine pass's job.
-    coarse_opts = replace(opts, param_tolerance=max(opts.param_tolerance, COARSE_PARAM_TOLERANCE))
-    coarse = solve_lm(provider, guess, RobustLoss(COARSE_CAUCHY_SCALE), coarse_opts)
+    coarse = solve_lm(provider, guess, RobustLoss(COARSE_CAUCHY_SCALE), COARSE_PARAM_TOLERANCE)
     x0, at_x0 = guess, coarse.initial_evaluation
     # With no point inside, every residual is the same constant and the
     # coarse pass stopped at once.
@@ -200,7 +200,7 @@ def dll_register(
         cost_pre, _ = loss.cost_and_weights(coarse.final_evaluation[0])
         if cost_pre < cost_guess:
             x0, at_x0 = coarse.final_params, coarse.final_evaluation
-    report = solve_lm(provider, x0, loss, opts, start=at_x0)
+    report = solve_lm(provider, x0, loss, PARAM_TOLERANCE, start=at_x0)
     if report.termination is Termination.NUMERICAL_FAILURE:
         raise RegistrationError("solver reported a numerical failure")
     elapsed = time.perf_counter() - start
@@ -244,8 +244,9 @@ def icp_register(
     """Iterative-closest-point baseline restricted to [tx, ty, tz, yaw].
 
     Pairs beyond max_correspondence_distance are discarded; the rest weigh
-    equally. Raises NoCorrespondencesError when an iteration is left with
-    no pair.
+    equally. Stops on ``ICP_CONVERGENCE_EPSILON`` or after
+    ``ICP_MAX_ITERATIONS``. Raises NoCorrespondencesError when an iteration
+    is left with no pair.
     """
     _check_registration_cloud(cloud)
     start = time.perf_counter()
@@ -254,7 +255,7 @@ def icp_register(
     iterations = 0
     converged = False
     held = None
-    for _ in range(opts.max_iterations):
+    for _ in range(ICP_MAX_ITERATIONS):
         iterations += 1
         mapped = apply_pose(pose, pts)
         matches, dist, held = nearest_moving(map_index, mapped, held)
@@ -268,7 +269,7 @@ def icp_register(
         change = np.abs(new_pose.as_array() - pose.as_array())
         change[3] = abs(float(wrap_angle(new_pose.yaw - pose.yaw)))
         pose = new_pose
-        if change.max() < opts.convergence_epsilon:
+        if change.max() < ICP_CONVERGENCE_EPSILON:
             converged = True
             break
     cost = float(((apply_pose(pose, src) - dst) ** 2).sum(axis=1).sum())

@@ -30,6 +30,16 @@ _MAX_DAMPING = 1e100
 # Factors applied to the damping lam after a rejected / an accepted step.
 DAMPING_INCREASE = 10.0
 DAMPING_DECREASE = 0.5
+# Starting lam: it damps the first step of a solve that starts near its
+# optimum, where an undamped Gauss-Newton step tends to overshoot and be
+# rejected.
+INITIAL_DAMPING = 0.1
+# Iteration budget of one solve, far above the few iterations a pass takes
+# from an odometry guess; a solve that spends it reports MAX_ITER.
+MAX_ITERATIONS = 50
+# An accepted step that lowers the cost by less than this fraction of it
+# ends the solve: the cost has flattened out.
+COST_TOLERANCE = 1e-8
 
 
 class Termination(enum.Enum):
@@ -71,36 +81,6 @@ class RobustLoss:
 
 
 @dataclass(frozen=True)
-class SolverOptions:
-    """Iteration budget, stopping tolerances and starting damping.
-
-    ``param_tolerance`` stops a solve once the largest step component
-    falls below it (meters or radians); 1e-4 is far below a field cell and
-    the scan noise. ``initial_damping`` is the starting lam: 0.1 damps the
-    first step of a solve that starts near its optimum, where an undamped
-    Gauss-Newton step tends to overshoot and be rejected; lam is then
-    scaled by DAMPING_DECREASE after each accepted step and by
-    DAMPING_INCREASE after each rejected one. ``dll_register``
-    runs both of its passes under these options; its coarse pass only
-    loosens the step tolerance to at least ``COARSE_PARAM_TOLERANCE`` and
-    sets the Cauchy width to ``COARSE_CAUCHY_SCALE`` (both in
-    ``registration``).
-    """
-
-    max_iterations: int = 50
-    param_tolerance: float = 1e-4
-    cost_tolerance: float = 1e-8
-    initial_damping: float = 0.1
-
-    def __post_init__(self):
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
-        for name in ("param_tolerance", "cost_tolerance", "initial_damping"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be positive and finite")
-
-
-@dataclass(frozen=True)
 class SolveReport:
     """Outcome of one solve.
 
@@ -135,15 +115,18 @@ def _weigh(evaluation, loss: RobustLoss):
 def solve_lm(
     residuals: ResidualProvider,
     x0: Pose4,
-    loss: RobustLoss = RobustLoss(),
-    opts: SolverOptions = SolverOptions(),
+    loss: RobustLoss,
+    param_tolerance: float,
     start: tuple | None = None,
 ) -> SolveReport:
     """Run the damped iteration from ``x0`` until a tolerance or budget hits.
 
-    ``loss`` is any object with ``cost_and_weights(r) -> (cost, weights)``:
-    the total cost of the residuals ``r`` and the per-residual weights
-    ``rho'(r^2)`` of the reweighted system. ``start``, when given, is the
+    It stops once the largest component of an admissible step falls below
+    ``param_tolerance`` (meters or radians), on a relative cost drop below
+    ``COST_TOLERANCE``, or after ``MAX_ITERATIONS``. ``loss`` is any object
+    with ``cost_and_weights(r) -> (cost, weights)``: the total cost of the
+    residuals ``r`` and the per-residual weights ``rho'(r^2)`` of the
+    reweighted system. ``start``, when given, is the
     provider's output at ``x0`` (for example an earlier solve's
     ``final_evaluation``); the solve then does not evaluate ``x0`` again.
     Accepted robust costs are strictly decreasing; yaw is re-wrapped after
@@ -163,10 +146,10 @@ def solve_lm(
         return SolveReport(pose, initial_cost, cost, 0, Termination.NUMERICAL_FAILURE,
                            evaluations, start, evaluation)
 
-    lam = opts.initial_damping
+    lam = INITIAL_DAMPING
     iterations = 0
     termination = Termination.MAX_ITER
-    for _ in range(opts.max_iterations):
+    for _ in range(MAX_ITERATIONS):
         iterations += 1
         wj = jac * w[:, None]
         normal = wj.T @ jac
@@ -186,7 +169,7 @@ def solve_lm(
             except np.linalg.LinAlgError:
                 delta = None
             if delta is not None and np.isfinite(delta).all():
-                small = np.abs(delta).max() < opts.param_tolerance
+                small = np.abs(delta).max() < param_tolerance
                 if small and not try_small:
                     # The admissible step is below resolution: converged
                     # (this also ends a rejected-step spiral, where lam
@@ -203,7 +186,7 @@ def solve_lm(
                     pose, evaluation, r, jac, w = pose_new, trial, r_new, jac_new, w_new
                     cost = cost_new
                     lam = max(lam * DAMPING_DECREASE, 1e-15)
-                    if drop < opts.cost_tolerance * max(cost, 1e-300):
+                    if drop < COST_TOLERANCE * max(cost, 1e-300):
                         termination = Termination.COST_TOL
                     break
                 try_small = not small

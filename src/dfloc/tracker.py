@@ -19,7 +19,7 @@ from typing import Callable
 from .distance_field import DfGrid
 from .geometry import Attitude, PointCloud, Pose4, compose, tilt_compensate
 from .registration import RegistrationError, RegistrationResult, dll_register
-from .solver import RobustLoss, SolverOptions
+from .solver import RobustLoss
 
 Registrar = Callable[[PointCloud, Pose4], RegistrationResult]
 
@@ -82,9 +82,8 @@ def track_step(
     frame: ScanFrame,
     grid: DfGrid,
     loss: RobustLoss = RobustLoss(),
-    opts: SolverOptions = SolverOptions(),
 ) -> TrackerState:
     """Advance the tracker by one frame, registering against the distance field."""
     # dll_register is looked up in this module on each call, so a wrapper
     # installed as tracker.dll_register (tracing, tests) sees every step.
-    return advance(state, frame, lambda body, guess: dll_register(body, grid, guess, loss, opts))
+    return advance(state, frame, lambda body, guess: dll_register(body, grid, guess, loss))

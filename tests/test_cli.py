@@ -153,10 +153,12 @@ def test_missing_file_is_stage_error(tmp_path, capsys):
 
 def test_bad_config_is_stage_error(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("solver.max_iterations = 0\n")
+    cfg.write_text("scan.points = 0\n")
     code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "s")])
     assert code == 2
-    assert "load-config" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "load-config" in err
+    assert "key 'scan.points': bad value '0'" in err
 
 
 def test_negative_seed_is_refused_at_load_config(workspace, tmp_path, capsys):

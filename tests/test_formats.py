@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 import struct
@@ -19,6 +20,7 @@ from dfloc.formats import (
     CloudValueError,
     ConfigError,
     EmptyCloudError,
+    RunConfig,
     ScenarioFormatError,
     TrajectoryFormatError,
     TrajectoryRow,
@@ -174,9 +176,7 @@ def test_config_defaults_from_empty():
     cfg = config_from_dict({})
     assert cfg.sim.extent == 10.0  # desk-scale scene default
     assert cfg.loss.scale == 0.1  # robust kernel default
-    assert cfg.icp.max_iterations == 50
     assert cfg.icp.max_correspondence_distance == 0.1
-    assert cfg.solver.max_iterations == 50
 
 
 def test_config_override():
@@ -200,13 +200,13 @@ def test_config_unknown_key():
 
 
 def test_config_unparsable_value():
-    with pytest.raises(ConfigError, match="solver.max_iterations"):
-        config_from_dict({"solver.max_iterations": "many"})
+    with pytest.raises(ConfigError, match=re.escape("key 'scan.points': bad value 'many'")):
+        config_from_dict({"scan.points": "many"})
 
 
 def test_config_constraint_violation():
-    with pytest.raises(ConfigError, match="solver.max_iterations"):
-        config_from_dict({"solver.max_iterations": "0"})
+    with pytest.raises(ConfigError, match=re.escape("key 'scan.points': bad value '0'")):
+        config_from_dict({"scan.points": "0"})
     with pytest.raises(ConfigError, match="scan.outlier_fraction"):
         config_from_dict({"scan.outlier_fraction": "1.5"})
 
@@ -216,13 +216,7 @@ def test_config_constraint_violation():
 # written as `x < 0` would let it through, and inf passes `x > 0`.
 CONSTRAINT_VIOLATIONS = {
     "loss.scale": ["0", "nan", "inf"],
-    "solver.max_iterations": ["0"],
-    "solver.param_tolerance": ["0", "nan", "inf"],
-    "solver.cost_tolerance": ["-1e-8", "nan", "inf"],
-    "solver.initial_damping": ["0", "nan", "inf"],
-    "icp.max_iterations": ["0"],
     "icp.max_correspondence_distance": ["0", "nan", "inf"],
-    "icp.convergence_epsilon": ["0", "nan", "inf"],
     "noise.sigma_t": ["-0.1", "nan", "inf"],
     "noise.sigma_yaw": ["-0.1", "nan", "inf"],
     "scene.kind": ["forest"],
@@ -237,14 +231,22 @@ CONSTRAINT_VIOLATIONS = {
     "seed": ["1.5", "-1"],
 }
 
-# Keys that were once config keys: the damping factors and the frame spacing
-# are now constants of solver and synth, and the loss is always Cauchy. The
-# values they used to take or refuse must all be refused now, as unknown keys.
+# Keys that were once config keys: the damping factors, the frame spacing and
+# the stopping rules of the solver and of ICP are now constants of solver,
+# synth and registration, and the loss is always Cauchy. The values they used
+# to take (the default comes last) or refuse must all be refused now, as
+# unknown keys.
 RETIRED_KEY_VIOLATIONS = {
     "loss.kind": ["cauchy", "none", "huber"],
     "solver.damping_increase": ["1", "nan", "inf"],
     "solver.damping_decrease": ["0", "1", "nan", "inf"],
     "trajectory.frame_dt": ["0", "nan", "inf"],
+    "solver.max_iterations": ["0", "50"],
+    "solver.param_tolerance": ["0", "nan", "inf", "1e-4"],
+    "solver.cost_tolerance": ["-1e-8", "nan", "inf", "1e-8"],
+    "solver.initial_damping": ["0", "nan", "inf", "0.1"],
+    "icp.max_iterations": ["0", "50"],
+    "icp.convergence_epsilon": ["0", "nan", "inf", "1e-9"],
 }
 
 
@@ -256,6 +258,23 @@ def test_config_constraint_table(key, value):
     expected = f"unknown key '{key}'" if key in RETIRED_KEY_VIOLATIONS else f"'{key}'"
     with pytest.raises(ConfigError, match=re.escape(expected)):
         config_from_dict({key: value})
+
+
+def _leaf_paths(obj, prefix=""):
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if dataclasses.is_dataclass(value):
+            yield from _leaf_paths(value, f"{prefix}{f.name}.")
+        else:
+            yield prefix + f.name
+
+
+def test_config_keys_set_every_option_field_and_nothing_else():
+    # Each field of RunConfig and of the option dataclasses it holds has a
+    # key that sets it, and each key sets a field.
+    targets = list(CONFIG_KEYS.values())
+    assert len(set(targets)) == len(targets)
+    assert set(targets) == set(_leaf_paths(RunConfig()))
 
 
 def _formats_md() -> str:

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,7 +17,9 @@ from dfloc.geometry import (
 )
 from dfloc.nnsearch import build_index
 from dfloc.registration import (
+    COARSE_CAUCHY_SCALE,
     COARSE_PARAM_TOLERANCE,
+    PARAM_TOLERANCE,
     IcpOptions,
     IcpReport,
     NoCorrespondencesError,
@@ -28,7 +29,7 @@ from dfloc.registration import (
     dll_register,
     icp_register,
 )
-from dfloc.solver import RobustLoss, SolverOptions
+from dfloc.solver import RobustLoss
 from dfloc.synth import ScanModel, simulate_scan
 
 
@@ -224,7 +225,7 @@ def test_icp_large_offset_fails_or_diverges(small_scene):
         pass  # also an accepted outcome
 
 
-def test_icp_matches_known_correspondence_alignment(small_scene):
+def test_icp_matches_known_correspondence_alignment(monkeypatch, small_scene):
     # with generous thresholds on outlier-free data, one ICP iteration from
     # exact correspondences equals the closed-form alignment
     index = build_index(small_scene.map)
@@ -234,11 +235,25 @@ def test_icp_matches_known_correspondence_alignment(small_scene):
     true = Pose4(0.02, -0.015, 0.01, 0.004)
     body_pts = apply_pose(true.inverse(), map_pts)
     body = PointCloud(body_pts, Frame.BODY)
-    opts = IcpOptions(max_iterations=50, max_correspondence_distance=1e9, convergence_epsilon=1e-12)
-    res = icp_register(body, index, Pose4.identity(), opts)
+    monkeypatch.setattr(registration, "ICP_MAX_ITERATIONS", 50)
+    monkeypatch.setattr(registration, "ICP_CONVERGENCE_EPSILON", 1e-12)
+    res = icp_register(body, index, Pose4.identity(), IcpOptions(max_correspondence_distance=1e9))
     # compare against the closed form on the true pairs
     direct = align_4dof(body_pts, map_pts)
     assert np.abs(res.pose.as_array() - direct.as_array()).max() < 1e-9
+
+
+def test_icp_reads_its_stopping_rules_at_call_time(monkeypatch, small_scene):
+    # The tests above set the stopping rules by monkeypatching the constants.
+    index = build_index(small_scene.map)
+    body = _scan_at(small_scene, Pose4(3.0, 2.5, 1.4, 0.2), seed=46, noise=0.02)
+    guess = Pose4(3.1, 2.45, 1.45, 0.25)
+    monkeypatch.setattr(registration, "ICP_MAX_ITERATIONS", 1)
+    assert icp_register(body, index, guess).report.iterations == 1
+    monkeypatch.setattr(registration, "ICP_MAX_ITERATIONS", 50)
+    monkeypatch.setattr(registration, "ICP_CONVERGENCE_EPSILON", 1.0)
+    report = icp_register(body, index, guess).report
+    assert report.converged and report.iterations == 1
 
 
 def test_icp_no_correspondences_error(small_scene):
@@ -260,7 +275,7 @@ def test_icp_counts_add_up(small_scene):
 def _icp_every_point_every_iteration(cloud, index, guess, opts=IcpOptions()):
     """ICP as first written: every point queried, and the cost taken, on every iteration."""
     pts, pose = cloud.points, guess
-    for iterations in range(1, opts.max_iterations + 1):
+    for iterations in range(1, registration.ICP_MAX_ITERATIONS + 1):
         matches, dist = index.nearest_many(apply_pose(pose, pts))
         keep = dist <= opts.max_correspondence_distance
         if not keep.any():
@@ -271,7 +286,7 @@ def _icp_every_point_every_iteration(cloud, index, guess, opts=IcpOptions()):
         change = np.abs(new_pose.as_array() - pose.as_array())
         change[3] = abs(float(wrap_angle(new_pose.yaw - pose.yaw)))
         pose = new_pose
-        if change.max() < opts.convergence_epsilon:
+        if change.max() < registration.ICP_CONVERGENCE_EPSILON:
             return pose, IcpReport(iterations, cost, True, len(src))
     return pose, IcpReport(iterations, cost, False, len(src))
 
@@ -368,26 +383,20 @@ def test_dll_result_exposes_both_passes(small_scene, small_grid):
     assert any(res.report.initial_evaluation is e for e in (coarse.initial_evaluation, coarse.final_evaluation))
 
 
-@pytest.mark.parametrize("max_iterations", [5, 50])
-@pytest.mark.parametrize("damping", [1e-4, 0.1, 10.0])
-def test_coarse_pass_takes_the_caller_options_with_a_loose_stop(
-    monkeypatch, small_scene, small_grid, damping, max_iterations
-):
+def test_coarse_pass_is_wide_and_loose_and_the_fine_pass_is_the_callers(monkeypatch, small_scene, small_grid):
     true = Pose4(3.0, 2.5, 1.2, 0.4)
     body = _scan_at(small_scene, true, seed=50)
     seen = []
     real = registration.solve_lm
 
-    def spy(provider, x0, loss, opts, **kwargs):
-        seen.append(opts)
-        return real(provider, x0, loss, opts, **kwargs)
+    def spy(provider, x0, loss, param_tolerance, **kwargs):
+        seen.append((loss, param_tolerance))
+        return real(provider, x0, loss, param_tolerance, **kwargs)
 
     monkeypatch.setattr(registration, "solve_lm", spy)
-    opts = SolverOptions(initial_damping=damping, max_iterations=max_iterations)
-    dll_register(body, small_grid, Pose4(3.2, 2.4, 1.3, 0.45), opts=opts)
-    coarse, fine = seen
-    assert coarse == replace(opts, param_tolerance=max(opts.param_tolerance, COARSE_PARAM_TOLERANCE))
-    assert fine is opts
+    loss = RobustLoss(0.2)
+    dll_register(body, small_grid, Pose4(3.2, 2.4, 1.3, 0.45), loss)
+    assert seen == [(RobustLoss(COARSE_CAUCHY_SCALE), COARSE_PARAM_TOLERANCE), (loss, PARAM_TOLERANCE)]
 
 
 def test_off_volume_points_get_the_largest_node_distance(small_scene, small_grid):
@@ -415,12 +424,11 @@ def test_leaving_the_map_never_lowers_the_cost(small_scene, small_grid):
         assert loss.cost_and_weights(provider(off)[0])[0] > cost_true
 
 
-def test_default_tolerance_lands_near_a_tight_solve(room_scene, room_grid):
+def test_default_tolerance_lands_near_a_tight_solve(monkeypatch, room_scene, room_grid):
     # Criterion-4 style trials: stopping the fine pass at a 1e-4 step must
     # leave every pose component within 2e-4 (m or rad) of where a 1e-10
-    # tolerance stops. Like param_tolerance, this is per component.
+    # tolerance stops. Like PARAM_TOLERANCE, this is per component.
     model = ScanModel(max_range=15.0, points=2000, noise_sigma=0.02)
-    tight = SolverOptions(param_tolerance=1e-10)
     worst_t = worst_yaw = 0.0
     for ss in np.random.SeedSequence(1234).spawn(100):
         rng = np.random.default_rng(ss)
@@ -431,7 +439,9 @@ def test_default_tolerance_lands_near_a_tight_solve(room_scene, room_grid):
         pert = rng.normal(0.0, [0.5, 0.5, 0.5, 0.1])
         guess = Pose4(pose.tx + pert[0], pose.ty + pert[1], pose.tz + pert[2], pose.yaw + pert[3])
         a = dll_register(body, room_grid, guess)
-        b = dll_register(body, room_grid, guess, opts=tight)
+        with monkeypatch.context() as patch:
+            patch.setattr(registration, "PARAM_TOLERANCE", 1e-10)
+            b = dll_register(body, room_grid, guess)
         worst_t = max(worst_t, float(np.abs(a.pose.translation - b.pose.translation).max()))
         worst_yaw = max(worst_yaw, abs(float(wrap_angle(a.pose.yaw - b.pose.yaw))))
     assert worst_t <= 2e-4

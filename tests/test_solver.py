@@ -4,10 +4,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from dfloc import solver
 from dfloc.geometry import Pose4
+from dfloc.registration import PARAM_TOLERANCE
 from dfloc.solver import (
     RobustLoss,
-    SolverOptions,
     Termination,
     cauchy_rho,
     solve_lm,
@@ -75,20 +76,21 @@ def test_zero_residual_start_converges_immediately():
     def provider(pose):
         return np.zeros(3), np.zeros((3, 4))
 
-    report = solve_lm(provider, Pose4(1.0, 2.0, 3.0, 0.5))
+    report = solve_lm(provider, Pose4(1.0, 2.0, 3.0, 0.5), RobustLoss(), PARAM_TOLERANCE)
     assert report.converged
     assert report.iterations <= 1
     assert report.final_params == Pose4(1.0, 2.0, 3.0, 0.5)
 
 
-def test_quadratic_toy_converges():
-    opts = SolverOptions(param_tolerance=1e-12, cost_tolerance=1e-16, max_iterations=50)
-    report = solve_lm(quadratic_toy(), Pose4.identity(), QUADRATIC, opts)
+def test_quadratic_toy_converges(monkeypatch):
+    monkeypatch.setattr(solver, "COST_TOLERANCE", 1e-16)
+    monkeypatch.setattr(solver, "MAX_ITERATIONS", 50)
+    report = solve_lm(quadratic_toy(), Pose4.identity(), QUADRATIC, 1e-12)
     assert report.converged
     assert report.final_params.tx == pytest.approx(5.0, abs=1e-8)
 
 
-def test_linear_problem_reaches_closed_form_quickly():
+def test_linear_problem_reaches_closed_form_quickly(monkeypatch):
     rng = np.random.default_rng(20)
     a = rng.normal(size=(12, 4))
     b = rng.normal(size=12)
@@ -98,21 +100,22 @@ def test_linear_problem_reaches_closed_form_quickly():
     # Started nearly undamped, LM is Gauss-Newton and solves a linear
     # problem in one step. The default start (lam = 0.1) converges only
     # linearly; see the next test.
-    opts = SolverOptions(param_tolerance=1e-13, cost_tolerance=1e-15, max_iterations=5,
-                         initial_damping=1e-4)
-    report = solve_lm(linear_lsq(a, b), Pose4.identity(), QUADRATIC, opts)
+    monkeypatch.setattr(solver, "COST_TOLERANCE", 1e-15)
+    monkeypatch.setattr(solver, "MAX_ITERATIONS", 5)
+    monkeypatch.setattr(solver, "INITIAL_DAMPING", 1e-4)
+    report = solve_lm(linear_lsq(a, b), Pose4.identity(), QUADRATIC, 1e-13)
     assert np.abs(report.final_params.as_array() - x_star).max() < 1e-8
     assert report.iterations <= 5
 
 
-def test_linear_problem_reaches_closed_form_from_default_damping():
+def test_linear_problem_reaches_closed_form_from_default_damping(monkeypatch):
     rng = np.random.default_rng(20)
     a = rng.normal(size=(12, 4))
     b = rng.normal(size=12)
     x_star, *_ = np.linalg.lstsq(a, b, rcond=None)
     x_star[3] = math.remainder(x_star[3], 2 * math.pi)
-    opts = SolverOptions(param_tolerance=1e-13, cost_tolerance=1e-15)
-    report = solve_lm(linear_lsq(a, b), Pose4.identity(), QUADRATIC, opts)
+    monkeypatch.setattr(solver, "COST_TOLERANCE", 1e-15)
+    report = solve_lm(linear_lsq(a, b), Pose4.identity(), QUADRATIC, 1e-13)
     assert report.converged
     assert np.abs(report.final_params.as_array() - x_star).max() < 1e-8
     assert report.iterations <= 12
@@ -130,7 +133,7 @@ def test_accepted_costs_monotone():
         costs.append((r**2).sum())
         return r, jac
 
-    report = solve_lm(recording, Pose4(3.0, -2.0, 1.0, 0.7), QUADRATIC)
+    report = solve_lm(recording, Pose4(3.0, -2.0, 1.0, 0.7), QUADRATIC, PARAM_TOLERANCE)
     assert report.final_cost <= report.initial_cost
     # the report's accepted-cost sequence is monotone by construction;
     # check initial/final against the recorded evaluations
@@ -165,8 +168,8 @@ def test_determinism_bitwise():
     rng = np.random.default_rng(23)
     a = rng.normal(size=(25, 4))
     b = rng.normal(size=25)
-    r1 = solve_lm(linear_lsq(a, b), Pose4(1, 1, 1, 1), RobustLoss(0.3))
-    r2 = solve_lm(linear_lsq(a, b), Pose4(1, 1, 1, 1), RobustLoss(0.3))
+    r1 = solve_lm(linear_lsq(a, b), Pose4(1, 1, 1, 1), RobustLoss(0.3), PARAM_TOLERANCE)
+    r2 = solve_lm(linear_lsq(a, b), Pose4(1, 1, 1, 1), RobustLoss(0.3), PARAM_TOLERANCE)
     assert r1.final_params == r2.final_params
     assert r1.final_cost == r2.final_cost
     assert r1.iterations == r2.iterations
@@ -177,16 +180,9 @@ def test_non_finite_initial_cost_is_numerical_failure():
     def provider(pose):
         return np.array([math.inf]), np.ones((1, 4))
 
-    report = solve_lm(provider, Pose4.identity())
+    report = solve_lm(provider, Pose4.identity(), RobustLoss(), PARAM_TOLERANCE)
     assert report.termination is Termination.NUMERICAL_FAILURE
     assert not report.converged
-
-
-def test_options_validation():
-    with pytest.raises(ValueError):
-        SolverOptions(max_iterations=0)
-    with pytest.raises(ValueError):
-        SolverOptions(param_tolerance=0.0)
 
 
 def test_yaw_wrapped_after_steps():
@@ -195,7 +191,7 @@ def test_yaw_wrapped_after_steps():
         r = np.array([pose.yaw - 4.0 if pose.yaw > 0 else pose.yaw - (4.0 - 2 * math.pi)])
         return r, np.array([[0.0, 0.0, 0.0, 1.0]])
 
-    report = solve_lm(provider, Pose4(0, 0, 0, 3.0), QUADRATIC)
+    report = solve_lm(provider, Pose4(0, 0, 0, 3.0), QUADRATIC, PARAM_TOLERANCE)
     assert -math.pi < report.final_params.yaw <= math.pi
 
 
@@ -214,7 +210,7 @@ def test_report_counts_evaluations_and_keeps_the_end_points():
     a = rng.normal(size=(30, 4))
     b = rng.normal(size=30)
     provider, calls = _counting(linear_lsq(a, b))
-    report = solve_lm(provider, Pose4(1, 1, 1, 1), RobustLoss(0.3))
+    report = solve_lm(provider, Pose4(1, 1, 1, 1), RobustLoss(0.3), PARAM_TOLERANCE)
     assert report.evaluations == len(calls)
     assert calls[0] == Pose4(1, 1, 1, 1)
     r0, _ = report.initial_evaluation
@@ -229,17 +225,17 @@ def test_start_evaluation_is_not_repeated():
     b = rng.normal(size=30)
     x0 = Pose4(0.5, -0.5, 0.2, 0.1)
     loss = RobustLoss(0.3)
-    plain = solve_lm(linear_lsq(a, b), x0, loss)
+    plain = solve_lm(linear_lsq(a, b), x0, loss, PARAM_TOLERANCE)
     start = linear_lsq(a, b)(x0)
     provider, calls = _counting(linear_lsq(a, b))
-    handed = solve_lm(provider, x0, loss, start=start)
+    handed = solve_lm(provider, x0, loss, PARAM_TOLERANCE, start=start)
     assert x0 not in calls
     assert handed.evaluations == len(calls) == plain.evaluations - 1
     assert handed.initial_evaluation is start
     assert replace(handed, evaluations=plain.evaluations) == plain
 
 
-def test_sub_tolerance_step_after_a_rejection_is_tried():
+def test_sub_tolerance_step_after_a_rejection_is_tried(monkeypatch):
     # The provider underestimates its slope tenfold, so the first steps
     # overshoot and are rejected. Once the damping has grown enough, the
     # step is below the tolerance while the start is still 5e-5 off: that
@@ -248,23 +244,23 @@ def test_sub_tolerance_step_after_a_rejection_is_tried():
         return np.array([pose.tx - 1.0]), np.array([[0.1, 0.0, 0.0, 0.0]])
 
     x0 = Pose4(1.0 - 5e-5, 0.0, 0.0, 0.0)
-    opts = SolverOptions(param_tolerance=1e-4, initial_damping=0.1)
-    report = solve_lm(provider, x0, QUADRATIC, opts)
+    monkeypatch.setattr(solver, "INITIAL_DAMPING", 0.1)
+    report = solve_lm(provider, x0, QUADRATIC, 1e-4)
     assert report.termination is Termination.PARAM_TOL
     # x0, the rejected steps at lam = 0.1 and 1, the accepted one at lam = 10.
     assert report.evaluations == 4
     assert abs(report.final_params.tx - 1.0) < 1e-5
 
 
-def test_rejected_step_spiral_still_ends():
+def test_rejected_step_spiral_still_ends(monkeypatch):
     # A Jacobian of the wrong sign makes every step uphill. One step below
     # the tolerance is tried after the rejections; the next one ends the
     # solve, long before the damping limit.
     def provider(pose):
         return np.array([pose.tx - 1.0]), np.array([[-1.0, 0.0, 0.0, 0.0]])
 
-    opts = SolverOptions(param_tolerance=1e-4, initial_damping=1e-4)
-    report = solve_lm(provider, Pose4.identity(), QUADRATIC, opts)
+    monkeypatch.setattr(solver, "INITIAL_DAMPING", 1e-4)
+    report = solve_lm(provider, Pose4.identity(), QUADRATIC, 1e-4)
     assert report.termination is Termination.PARAM_TOL
     assert report.final_params == Pose4.identity()
     # x0, the 8 rejected steps of 1 / (1 + lam) for lam = 1e-4 ... 1e3,
@@ -282,7 +278,7 @@ def test_damping_limit_is_numerical_failure():
         r = np.array([1e120 if pose == x0 else math.inf])
         return r, np.array([[1.0, 0.0, 0.0, 0.0]])
 
-    report = solve_lm(provider, x0, QUADRATIC)
+    report = solve_lm(provider, x0, QUADRATIC, PARAM_TOLERANCE)
     assert report.termination is Termination.NUMERICAL_FAILURE
     assert not report.converged
     # x0 and the rejected steps at lam = 0.1, 1, ..., 1e100.
