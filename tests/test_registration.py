@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dfloc import distance_field, registration
+from dfloc import distance_field, registration, solver
 from dfloc.distance_field import build_grid, plan_grid, query_many
 from dfloc.geometry import (
     Attitude,
@@ -383,20 +383,34 @@ def test_dll_result_exposes_both_passes(small_scene, small_grid):
     assert any(res.report.initial_evaluation is e for e in (coarse.initial_evaluation, coarse.final_evaluation))
 
 
-def test_coarse_pass_is_wide_and_loose_and_the_fine_pass_is_the_callers(monkeypatch, small_scene, small_grid):
+@pytest.mark.parametrize("max_iterations", [5, 50])
+@pytest.mark.parametrize("damping", [1e-4, 0.1, 10.0])
+def test_coarse_pass_takes_the_caller_options_with_a_loose_stop(
+    monkeypatch, small_scene, small_grid, damping, max_iterations
+):
+    # Both passes run under the solver's damping and iteration budget; the
+    # coarse pass has the wide kernel and the loose step tolerance, the fine
+    # pass the caller's loss and PARAM_TOLERANCE.
     true = Pose4(3.0, 2.5, 1.2, 0.4)
     body = _scan_at(small_scene, true, seed=50)
     seen = []
     real = registration.solve_lm
 
     def spy(provider, x0, loss, param_tolerance, **kwargs):
-        seen.append((loss, param_tolerance))
-        return real(provider, x0, loss, param_tolerance, **kwargs)
+        report = real(provider, x0, loss, param_tolerance, **kwargs)
+        seen.append((loss, param_tolerance, solver.INITIAL_DAMPING, solver.MAX_ITERATIONS, report.iterations))
+        return report
 
     monkeypatch.setattr(registration, "solve_lm", spy)
+    monkeypatch.setattr(solver, "INITIAL_DAMPING", damping)
+    monkeypatch.setattr(solver, "MAX_ITERATIONS", max_iterations)
     loss = RobustLoss(0.2)
     dll_register(body, small_grid, Pose4(3.2, 2.4, 1.3, 0.45), loss)
-    assert seen == [(RobustLoss(COARSE_CAUCHY_SCALE), COARSE_PARAM_TOLERANCE), (loss, PARAM_TOLERANCE)]
+    assert [s[:4] for s in seen] == [
+        (RobustLoss(COARSE_CAUCHY_SCALE), COARSE_PARAM_TOLERANCE, damping, max_iterations),
+        (loss, PARAM_TOLERANCE, damping, max_iterations),
+    ]
+    assert all(1 <= s[4] <= max_iterations for s in seen)
 
 
 def test_off_volume_points_get_the_largest_node_distance(small_scene, small_grid):
