@@ -30,7 +30,7 @@ from functools import cached_property
 import numpy as np
 
 from .geometry import Frame, FrameError, PointCloud
-from .nnsearch import FIELD_LEAF_SIZE, build_index
+from .nnsearch import FIELD_LEAF_SIZE, build_index, certified_nearest, exact_distance
 
 GRID_MAGIC = b"DFGRID1\n"
 GRID_VERSION = 1
@@ -41,6 +41,11 @@ MAX_NODES = 1 << 33
 # Lattice nodes per slab (whole x planes, at least one) of a build or a fit.
 # Their peak memory is the node lattice plus the working arrays of one slab.
 SLAB_NODES = 1 << 16
+
+# Strides, in lattice nodes, of the planes a build queries, coarse to fine.
+FILL_STRIDES = (32, 16, 8, 4, 2)
+# A lattice node whose winner is not known yet, during a build.
+_UNKNOWN = -1.0
 
 
 class GridFileError(ValueError):
@@ -224,23 +229,89 @@ def build_grid(cloud: PointCloud, spec: GridSpec, workers: int = -1) -> DfGrid:
     """Compute exact nearest-map distances on the lattice; fit no cell.
 
     This is the expensive offline step; ``workers`` is forwarded to the
-    nearest-neighbor queries (-1 = all cores). The lattice is filled in
-    slabs of whole x planes (``SLAB_NODES`` nodes), so only one slab's
-    coordinates are held beside it. The grid's coefficient table is fitted
-    when first queried, or streamed slab by slab by ``save_grid``.
-    The result is bitwise independent of the worker count and slab size.
+    nearest-neighbor queries (-1 = all cores). Each node's distance is
+    ``exact_distance`` from the node to its tree ``k=1`` winner, but most
+    nodes get their winner without a tree query, because a map point's
+    Voronoi cell is convex. For each stride of ``FILL_STRIDES`` and each
+    axis in turn, the unknown nodes on every stride-th plane across that
+    axis (and on the last plane) are queried with ``k=2`` by
+    ``certified_nearest``: a node is *certified* when ``d1 < d2 - TIE_GAP``,
+    and a tied node takes its ``k=1`` winner and is never certified. Where
+    both ends of a segment between neighbouring planes are certified with
+    the same winner ``w``, every node between them gets ``w`` and is
+    certified too. Nodes still unknown after the finest stride are queried
+    with ``k=1``.
+
+    Why a filled node's winner is the tree's answer: for any other map
+    point ``w'``, ``|q - w'|^2 - |q - w|^2`` is affine in ``q``, so on a
+    segment it is at least its smaller end value, and at a certified end
+    it is at least ``d2^2 - d1^2 > TIE_GAP * d2``. That bound carries over
+    to the filled nodes, which later segments may use as ends. So ``w`` is
+    the unique nearest point of every filled node, by a margin far above the
+    rounding of squared distances (about 1e-16 of their size) on any map
+    whose distinct points are not within micrometres of each other.
+
+    Memory: the float64 node lattice holds each node's state until the
+    final pass: -1 while unknown, ``w`` when certified, ``-2 - w`` for an
+    uncertified winner, and then its distance. That pass goes slab by slab
+    of whole x planes (``SLAB_NODES`` nodes); plane queries go in blocks of
+    at most half a slab, and fills one plane at a time. So a build holds
+    the lattice plus one slab's working arrays. The grid's coefficient
+    table is fitted when first queried, or streamed slab by slab by
+    ``save_grid``. The result is bitwise independent of the worker count
+    and slab size.
     """
     if len(cloud) == 0:
         raise ValueError("cannot build a distance field from an empty map")
     if cloud.frame is not Frame.MAP:
         raise FrameError(f"distance fields are built from map-frame clouds, got '{cloud.frame.value}'")
     index = build_index(cloud, leaf_size=FIELD_LEAF_SIZE)
-    nx, ny, nz = spec.nx, spec.ny, spec.nz
-    nodes = np.empty((nx + 1, ny + 1, nz + 1))
-    for x0, x1 in _slabs(spec, nx + 1):
-        _, dist = index.nearest_many(spec.node_coordinates(x0, x1), workers=workers)
-        nodes[x0:x1] = dist.reshape(x1 - x0, ny + 1, nz + 1)
+    nodes = np.full((spec.nx + 1, spec.ny + 1, spec.nz + 1), _UNKNOWN)
+    for stride in FILL_STRIDES:
+        for axis in range(3):
+            last = nodes.shape[axis] - 1
+            planes = np.union1d(np.arange(0, last + 1, stride), last)
+            _query_planes(index, spec, nodes, axis, planes, workers)
+            _fill_segments(nodes, axis, planes)
+    for x0, x1 in _slabs(spec, spec.nx + 1):
+        slab = nodes[x0:x1].reshape(-1)  # a view: the lattice is C-contiguous
+        coords = spec.node_coordinates(x0, x1)
+        unknown = np.flatnonzero(slab == _UNKNOWN)
+        if unknown.size:
+            slab[unknown] = index.nearest_many(coords[unknown], workers=workers)[0]
+        won = slab.astype(np.intp)
+        slab[:] = exact_distance(coords, index.points[np.where(won < 0, -2 - won, won)])
     return DfGrid(spec, nodes)
+
+
+def _query_planes(index, spec: GridSpec, nodes: np.ndarray, axis: int, planes: np.ndarray, workers) -> None:
+    """Store the winner code of each unknown node on ``planes`` across ``axis``."""
+    line = np.moveaxis(nodes, axis, 0)
+    # A k=2 row takes about twice the memory of a slab's k=1 row.
+    step = max(1, SLAB_NODES // (2 * line[0].size))
+    for c in range(0, planes.size, step):
+        at = planes[c : c + step]
+        p, j, k = np.nonzero(line[at] == _UNKNOWN)
+        if p.size:
+            ijk = [j, k]
+            ijk.insert(axis, at[p])
+            coords = np.empty((p.size, 3))
+            for a in range(3):  # GridSpec.node_coordinates' expression, node by node
+                coords[:, a] = spec.origin[a] + spec.resolution * ijk[a]
+            won, reach = certified_nearest(index, coords, workers)
+            nodes[tuple(ijk)] = np.where(reach > 0.0, won, -2 - won)
+
+
+def _fill_segments(nodes: np.ndarray, axis: int, planes: np.ndarray) -> None:
+    """Fill each segment across ``axis`` between neighbouring ``planes`` whose ends are certified
+    with the same winner: its nodes get that winner, certified."""
+    line = np.moveaxis(nodes, axis, 0)
+    for lo, hi in zip(planes[:-1], planes[1:]):
+        same = line[lo] >= 0.0
+        same &= line[lo] == line[hi]
+        if hi - lo > 1 and same.any():
+            for between in range(lo + 1, hi):
+                np.copyto(line[between], line[lo], where=same)
 
 
 def query_many(grid: DfGrid, pts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

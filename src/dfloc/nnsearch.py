@@ -4,22 +4,31 @@ The index wraps scipy's cKDTree (median split on the widest axis). Its
 leaf bucket size depends on where the queries fall. ICP's online
 correspondence queries lie near the surface, where small leaves are
 fastest, so ``build_index`` defaults to ``LEAF_SIZE = 16``. The field
-build queries every lattice node, and most nodes lie far from the
-surface; such a query visits many leaves, and larger leaves make it
-cheaper, so the build uses ``FIELD_LEAF_SIZE``. Returned distances are
-always recomputed from the winning point with the same expression
-``brute_force_nearest`` uses, so the tree and the linear-scan oracle
-agree bit for bit whatever the leaf size.
+build queries lattice nodes, most of them far from the surface; such a
+query visits many leaves, and larger leaves make it cheaper, so the build
+uses ``FIELD_LEAF_SIZE``. ``nearest_many`` returns indices into
+``points``: the build compares winners by index and keeps them in its
+float64 node lattice, so it holds no lattice of points. Distances are
+always recomputed from the winning point by ``exact_distance``, the
+expression ``brute_force_nearest`` uses, so the tree and the linear-scan
+oracle agree bit for bit whatever the leaf size.
+
+Both callers skip tree queries with a runner-up certificate, which
+``certified_nearest`` issues: a ``k=2`` answer is certified when
+``d1 < d2 - TIE_GAP``. Within ``TIE_GAP``, cKDTree's ``k=2`` first column
+can differ from its ``k=1`` answer, so a tied row takes its ``k=1`` winner
+and is never certified. A one-point map's runner-up is at infinity, so
+its winner always holds.
 
 ICP's query points move a little on each iteration, so ``nearest_moving``
 asks the tree again only where the winner can have changed. A point queried
 at ``a`` keeps its winner ``w`` and its runner-up distance ``d2``. At ``b``,
 every other map point is at least ``d2 - |b - a|`` away (triangle
 inequality), so ``w`` still wins when ``|b - w| + |b - a| < d2 - TIE_GAP``;
-that holds whenever ``2 |b - a| < d2 - |a - w| - TIE_GAP``. Ties need a rule:
-within ``TIE_GAP``, cKDTree's ``k=2`` first column can differ from its ``k=1``
-answer, so a tied point takes its ``k=1`` winner and is never certified. A
-one-point map has no runner-up, so its winner always holds.
+that holds whenever ``2 |b - a| < d2 - |a - w| - TIE_GAP``. The field build
+(``distance_field.build_grid``) instead gives a winner to every lattice
+node on a segment whose two ends are certified with that same winner,
+because a map point's Voronoi cell is convex.
 """
 
 from __future__ import annotations
@@ -45,8 +54,8 @@ def _as_points(points) -> np.ndarray:
     return pts
 
 
-def _exact_distance(q: np.ndarray, p: np.ndarray) -> np.ndarray:
-    # Shared distance expression; keeps tree and oracle bitwise identical.
+def exact_distance(q: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """The distance expression of the tree, the oracle and the field build; keeps them bitwise identical."""
     return np.sqrt(((q - p) ** 2).sum(axis=-1))
 
 
@@ -71,36 +80,54 @@ class KdTree3:
         return self.points.shape[0]
 
     def nearest_many(self, queries, workers: int = 1, k: int = 1) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized lookup for an (N, 3) query block: with ``k=2``, nearest and runner-up on axis 1."""
+        """Indices into ``points`` of the nearest point to each row of an (N, 3) block, and distances.
+
+        With ``k=2`` both have an axis 1: nearest, then runner-up. A one-point
+        index has no runner-up; its column keeps cKDTree's index ``len(self)``
+        and has distance inf.
+        """
         queries = np.asarray(queries, dtype=np.float64)
         _, idx = self._tree.query(queries, k=k, workers=workers)
-        winners = self.points[idx]
-        return winners, _exact_distance(queries if k == 1 else queries[:, None], winners)
+        if k == 1:
+            return idx, exact_distance(queries, self.points[idx])
+        have = min(k, len(self))
+        dist = np.full(idx.shape, np.inf)
+        dist[:, :have] = exact_distance(queries[:, None], self.points[idx[:, :have]])
+        return idx, dist
+
+
+def certified_nearest(index: KdTree3, queries, workers: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's ``k=1`` winner index and its certified reach: the runner-up distance less ``TIE_GAP``.
+
+    A row is certified when its nearest distance is below its reach; a tied
+    row takes its ``k=1`` winner and reach 0, so it never is.
+    """
+    pair, dist = index.nearest_many(queries, workers=workers, k=2)
+    won, reach = pair[:, 0], dist[:, 1] - TIE_GAP
+    tie = ~(dist[:, 0] < reach)
+    if tie.any():
+        won[tie] = index.nearest_many(queries[tie], workers=workers)[0]
+        reach[tie] = 0.0
+    return won, reach
 
 
 def nearest_moving(index: KdTree3, queries, held=None):
     """``index.nearest_many(queries)``, bit for bit, for rows that move between calls.
 
     ``held`` is what the previous call on the same rows returned last (None at
-    first); it is updated in place. Returns ``(winners, distances, held)``.
+    first); it is updated in place. Returns ``(winners, distances, held)``,
+    with the winners as points.
     """
     queries = np.asarray(queries, dtype=np.float64)
     at, winners, reach = held or (np.zeros_like(queries), np.zeros_like(queries), np.zeros(len(queries)))
-    dist = _exact_distance(queries, winners)
-    stale = np.flatnonzero(~(dist + _exact_distance(queries, at) < reach))  # indices beat a mask here
+    dist = exact_distance(queries, winners)
+    stale = np.flatnonzero(~(dist + exact_distance(queries, at) < reach))  # indices beat a mask here
     if stale.size:
         rows = queries[stale]
-        if len(index) == 1:
-            won, runner_up = index.nearest_many(rows)[0], np.inf
-        else:
-            pair, pair_dist = index.nearest_many(rows, k=2)
-            won, runner_up = pair[:, 0], pair_dist[:, 1] - TIE_GAP
-            tie = ~(pair_dist[:, 0] < runner_up)
-            if tie.any():
-                won[tie] = index.nearest_many(rows[tie])[0]
-                runner_up[tie] = 0.0
+        won, runner_up = certified_nearest(index, rows)
+        won = index.points[won]
         at[stale], winners[stale], reach[stale] = rows, won, runner_up
-        dist[stale] = _exact_distance(rows, won)
+        dist[stale] = exact_distance(rows, won)
     return winners.copy(), dist, (at, winners, reach)
 
 
@@ -117,7 +144,7 @@ def brute_force_nearest(points, q) -> tuple[np.ndarray, float]:
     q = np.asarray(q, dtype=np.float64)
     d2 = ((pts - q) ** 2).sum(axis=1)
     p = pts[int(np.argmin(d2))]
-    return p, float(_exact_distance(q, p))
+    return p, float(exact_distance(q, p))
 
 
 def brute_force_distances(points, queries) -> np.ndarray:
@@ -141,5 +168,5 @@ def brute_force_distances(points, queries) -> np.ndarray:
         blk = q[start : start + block]
         d2 = (blk**2).sum(axis=1)[:, None] - 2.0 * (blk @ pts.T) + p2[None, :]
         win[start : start + block] = np.argmin(d2, axis=1)
-    dist = _exact_distance(q, pts[win])
+    dist = exact_distance(q, pts[win])
     return dist[0] if single else dist

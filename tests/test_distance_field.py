@@ -7,7 +7,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from dfloc import distance_field
+from dfloc import distance_field, synth
 from dfloc.distance_field import (
     GRID_MAGIC,
     DfGrid,
@@ -25,7 +25,7 @@ from dfloc.distance_field import (
     save_grid,
 )
 from dfloc.geometry import Frame, FrameError, PointCloud
-from dfloc.nnsearch import brute_force_distances
+from dfloc.nnsearch import FIELD_LEAF_SIZE, brute_force_distances, build_index
 
 UNIT_CUBE = PointCloud(
     np.array([[x, y, z] for x in (0.0, 1.0) for y in (0.0, 1.0) for z in (0.0, 1.0)]),
@@ -158,6 +158,67 @@ def test_build_independent_of_workers_and_slabs(monkeypatch, tmp_path):
         assert (tmp_path / f"{name}.df").read_bytes() == reference_bytes, name
 
 
+def _lattice_by_every_node(cloud, spec):
+    """The lattice as a build that queries every node with k=1 fills it."""
+    _, dist = build_index(cloud, leaf_size=FIELD_LEAF_SIZE).nearest_many(spec.node_coordinates())
+    return dist.reshape(spec.nx + 1, spec.ny + 1, spec.nz + 1)
+
+
+def _assert_same_bits_as_every_node_queried(grid, cloud, oracle_tol=0.0):
+    """Bitwise against the every-node pass, and against the oracle, whose argmin runs
+    on the expanded form and so breaks rounding ties its own way: there within ``oracle_tol``."""
+    spec = grid.spec
+    assert _same_bits(grid.node_distances, _lattice_by_every_node(cloud, spec))
+    oracle = brute_force_distances(cloud, spec.node_coordinates())
+    if oracle_tol:
+        assert np.abs(grid.node_distances.ravel() - oracle).max() <= oracle_tol
+    else:
+        assert _same_bits(grid.node_distances.ravel(), oracle)
+
+
+@pytest.mark.parametrize("spacing", [1.0, 0.3])
+def test_build_is_exact_where_nodes_tie(spacing):
+    # Map points on a 6x6x6 lattice, nodes at half its spacing: every node
+    # that is not a map point is an edge midpoint, face centre or cell centre
+    # of the lattice, or lies beyond it, tied between 2 to 8 points. Node and
+    # map coordinates are multiples of 0.15 and 0.3 in the second case, which
+    # are not binary fractions, so there rounding breaks the ties.
+    lattice = np.stack(np.meshgrid(*[np.arange(6.0)] * 3, indexing="ij"), axis=-1).reshape(-1, 3)
+    cloud = PointCloud(spacing * lattice, Frame.MAP)
+    spec = GridSpec(np.full(3, -17 * spacing / 2), spacing / 2, 44, 44, 44)
+    _assert_same_bits_as_every_node_queried(build_grid(cloud, spec), cloud, 0.0 if spacing == 1.0 else 1e-15)
+
+
+def test_build_is_exact_on_a_line_of_nodes_equidistant_from_a_ring_of_points():
+    # 12 map points on the circle of radius 0.5 around the x axis, at
+    # (0.3, 0.4), (0.5, 0) and their mirror images: every node on that axis
+    # is equidistant from all of them, but their squared coordinates round
+    # differently, so which one a node's rounding favours changes along the axis.
+    ring = [(a * sa, b * sb) for a, b in ((0.3, 0.4), (0.4, 0.3)) for sa in (1, -1) for sb in (1, -1)]
+    ring += [(0.5, 0.0), (-0.5, 0.0), (0.0, 0.5), (0.0, -0.5)]
+    cloud = PointCloud(np.array([(0.0, y, z) for y, z in ring]), Frame.MAP)
+    spec = GridSpec(np.full(3, -3.2), 0.1, 64, 64, 64)
+    _assert_same_bits_as_every_node_queried(build_grid(cloud, spec), cloud, 1e-15)
+
+
+def test_build_is_exact_on_a_map_with_duplicate_points():
+    # A point and its copy tie wherever they win, so no node they win is certified.
+    scene = synth.make_scene("box_room", 4.0, 30.0, seed=5)
+    pts = scene.map.points
+    cloud = PointCloud(np.vstack([pts, pts[::3], pts[::7]]), Frame.MAP)
+    spec = plan_grid(cloud, 0.15, margin=1.0)
+    _assert_same_bits_as_every_node_queried(build_grid(cloud, spec), cloud)
+
+
+def test_box_room_build_queries_under_half_of_its_nodes(tree_rows):
+    scene = synth.make_scene("box_room", 4.0, 30.0, seed=3)
+    spec = plan_grid(scene.map, 0.1, margin=1.0)
+    grid = build_grid(scene.map, spec)
+    queried = sum(n for n, _ in tree_rows)
+    assert queried < grid.node_distances.size / 2, f"{queried} tree rows for {grid.node_distances.size} nodes"
+    _assert_same_bits_as_every_node_queried(grid, scene.map)
+
+
 def test_first_queries_from_many_threads_match_one_thread():
     # Four threads race to fit a fresh grid's table on first use.
     rng = np.random.default_rng(23)
@@ -188,6 +249,18 @@ def test_node_coordinates_x_range_matches_full_lattice():
         assert _same_bits(spec.node_coordinates(x0, x1), full[x0 * plane : x1 * plane])
 
 
+def _build_and_save_peak(cloud, spec, path):
+    """Peak traced bytes of building and saving a grid, and the grid."""
+    tracemalloc.start()
+    try:
+        grid = build_grid(cloud, spec)
+        save_grid(grid, path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak, grid
+
+
 def test_build_memory_bounded(tmp_path):
     # 1.03 M nodes, many build slabs. A build and save that hold only the
     # node lattice and one slab peak near 2x the lattice; one that also
@@ -196,13 +269,18 @@ def test_build_memory_bounded(tmp_path):
     cloud = PointCloud(rng.uniform(0, 1, size=(200, 3)), Frame.MAP)
     spec = GridSpec(np.zeros(3), 0.01, 100, 100, 100)
     assert (spec.nx + 1) * (spec.ny + 1) * (spec.nz + 1) > 3 * distance_field.SLAB_NODES
-    tracemalloc.start()
-    try:
-        grid = build_grid(cloud, spec)
-        save_grid(grid, tmp_path / "grid.df")
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak, grid = _build_and_save_peak(cloud, spec, tmp_path / "grid.df")
+    nodes = grid.node_distances.nbytes
+    assert peak < 2.5 * nodes, f"peak {peak / 1e6:.1f} MB for {nodes / 1e6:.1f} MB of nodes"
+
+
+def test_build_memory_bounded_on_a_surface_map(tmp_path):
+    # 1.19 M nodes. A random volume cloud certifies few nodes; around a
+    # room's walls most nodes are filled between certified planes instead.
+    scene = synth.make_scene("box_room", 4.0, 30.0, seed=3)
+    spec = plan_grid(scene.map, 0.05, margin=1.0)
+    assert (spec.nx + 1) * (spec.ny + 1) * (spec.nz + 1) > 3 * distance_field.SLAB_NODES
+    peak, grid = _build_and_save_peak(scene.map, spec, tmp_path / "grid.df")
     nodes = grid.node_distances.nbytes
     assert peak < 2.5 * nodes, f"peak {peak / 1e6:.1f} MB for {nodes / 1e6:.1f} MB of nodes"
 

@@ -15,8 +15,8 @@ from dfloc.nnsearch import (
 
 def _nearest(index, q):
     """The winner and distance that ``nearest_many`` returns for one query row."""
-    p, d = index.nearest_many(np.asarray(q, dtype=np.float64)[None])
-    return p[0], d[0]
+    won, d = index.nearest_many(np.asarray(q, dtype=np.float64)[None])
+    return index.points[won[0]], d[0]
 
 
 def test_single_point_tree():
@@ -107,11 +107,20 @@ def test_nearest_many_k2_returns_the_runner_up():
     rng = np.random.default_rng(13)
     pts = rng.uniform(0, 5, size=(2000, 3))
     queries = rng.uniform(-1, 6, size=(500, 3))
-    winners, d = build_index(pts).nearest_many(queries, k=2)
-    assert winners.shape == (500, 2, 3) and d.shape == (500, 2)
+    won, d = build_index(pts).nearest_many(queries, k=2)
+    assert won.shape == d.shape == (500, 2)
     assert np.array_equal(d[:, 0], brute_force_distances(pts, queries))
     assert (d[:, 1] >= d[:, 0]).all()
-    assert np.array_equal(d[:, 1], np.sqrt(((queries - winners[:, 1]) ** 2).sum(axis=1)))
+    assert np.array_equal(d[:, 1], np.sqrt(((queries - pts[won[:, 1]]) ** 2).sum(axis=1)))
+
+
+def test_nearest_many_k2_on_a_one_point_index_has_an_infinite_runner_up():
+    queries = np.random.default_rng(18).normal(size=(20, 3))
+    index = build_index(np.array([[1.0, -2.0, 0.5]]))
+    won, d = index.nearest_many(queries, k=2)
+    one, d1 = index.nearest_many(queries)
+    assert np.array_equal(won[:, 0], one) and np.array_equal(d[:, 0], d1)
+    assert np.isinf(d[:, 1]).all()
 
 
 def _walk_matches_fresh_queries(pts, queries, moves) -> None:
@@ -121,8 +130,8 @@ def _walk_matches_fresh_queries(pts, queries, moves) -> None:
     held = None
     for move in [*moves, None]:
         winners, dist, held = nearest_moving(index, queries, held)
-        fresh_winners, fresh_dist = index.nearest_many(queries)
-        assert np.array_equal(winners.view(np.uint64), fresh_winners.view(np.uint64))
+        fresh_won, fresh_dist = index.nearest_many(queries)
+        assert np.array_equal(winners.view(np.uint64), index.points[fresh_won].view(np.uint64))
         assert np.array_equal(dist.view(np.uint64), fresh_dist.view(np.uint64))
         if move is not None:
             queries = queries + move

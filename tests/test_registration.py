@@ -276,7 +276,8 @@ def _icp_every_point_every_iteration(cloud, index, guess, opts=IcpOptions()):
     """ICP as first written: every point queried, and the cost taken, on every iteration."""
     pts, pose = cloud.points, guess
     for iterations in range(1, registration.ICP_MAX_ITERATIONS + 1):
-        matches, dist = index.nearest_many(apply_pose(pose, pts))
+        won, dist = index.nearest_many(apply_pose(pose, pts))
+        matches = index.points[won]
         keep = dist <= opts.max_correspondence_distance
         if not keep.any():
             raise NoCorrespondencesError(iterations)
