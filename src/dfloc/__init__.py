@@ -32,7 +32,6 @@ from .geometry import (
 )
 from .nnsearch import KdTree3, brute_force_distances, brute_force_nearest, build_index
 from .registration import (
-    IcpOptions,
     IcpReport,
     NoCorrespondencesError,
     RegistrationError,

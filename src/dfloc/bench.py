@@ -77,9 +77,8 @@ def run_tracking(
     """Track every frame of a scenario; returns estimates, timings, divergence.
 
     The tracker starts from the true initial pose. ``grid`` is required
-    for the field method, ``map_index`` for the ICP baseline. ``cfg``
-    supplies the loss, the ICP options and the seed of the mode's
-    odometry noise.
+    for the field method, ``map_index`` for the ICP baseline. Of ``cfg``
+    only the seed is read: it seeds the mode's odometry noise.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method '{method}' (expected one of {METHODS})")
@@ -90,8 +89,8 @@ def run_tracking(
 
     def register(body: PointCloud, guess: Pose4) -> RegistrationResult:
         if method == "dll":
-            return dll_register(body, grid, guess, cfg.loss)
-        return icp_register(body, map_index, guess, cfg.icp)
+            return dll_register(body, grid, guess)
+        return icp_register(body, map_index, guess)
 
     if method == "dll":
         grid.coeffs  # a grid fits its table on first use: fit it before any scan is timed
@@ -129,7 +128,7 @@ def bench_row(run: TrackingRun, scenario: ScenarioRun) -> BenchRow:
 def run_benchmark(
     scenario: ScenarioRun, grid: DfGrid, map_index: KdTree3, cfg: RunConfig = RunConfig()
 ) -> list[BenchRow]:
-    """Run every method under every odometry mode with ``cfg`` and summarize each."""
+    """Run every method under every odometry mode, seeded by ``cfg``, and summarize each."""
     return [
         bench_row(run_tracking(scenario, method, mode, grid, map_index, cfg), scenario)
         for method in METHODS

@@ -18,8 +18,6 @@ from pathlib import Path
 import numpy as np
 
 from .geometry import Attitude, Frame, PointCloud, Pose4
-from .registration import IcpOptions
-from .solver import RobustLoss
 from .synth import SCENE_KINDS, NoiseSetup, ScanModel, ScenarioRun
 from .tracker import ScanFrame
 
@@ -243,10 +241,9 @@ class SimOptions:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Settings read by simulate, localize and benchmark; grid settings are build-df flags."""
+    """Settings read by simulate; localize and benchmark read only ``seed``.
+    Grid settings are build-df flags."""
 
-    loss: RobustLoss = field(default_factory=RobustLoss)
-    icp: IcpOptions = field(default_factory=IcpOptions)
     noise: NoiseSetup = field(default_factory=NoiseSetup)
     sim: SimOptions = field(default_factory=SimOptions)
     seed: int = 0
@@ -259,8 +256,6 @@ class RunConfig:
 # Config key -> attribute path in RunConfig. Defaults and constraints live
 # on the option dataclasses; a value is parsed by the type of its default.
 CONFIG_KEYS = {
-    "loss.scale": "loss.scale",
-    "icp.max_correspondence_distance": "icp.max_correspondence_distance",
     "noise.sigma_t": "noise.sigma_t",
     "noise.sigma_yaw": "noise.sigma_yaw",
     "scene.kind": "sim.scene_kind",

@@ -62,18 +62,9 @@ ICP_MAX_ITERATIONS = 50
 # ICP has converged once no pose component (m or rad) moves by this much in
 # one iteration: the correspondences, and so the alignment, then repeat.
 ICP_CONVERGENCE_EPSILON = 1e-9
-
-
-@dataclass(frozen=True)
-class IcpOptions:
-    """ICP configuration: the correspondence radius, 0.1 m as in the baseline
-    setup. It depends on the map's point spacing."""
-
-    max_correspondence_distance: float = 0.1
-
-    def __post_init__(self):
-        if not 0.0 < self.max_correspondence_distance < math.inf:
-            raise ValueError("max_correspondence_distance must be positive and finite")
+# ICP's correspondence radius (m), that of the baseline setup: pairs farther
+# apart are discarded. It depends on the map's point spacing.
+ICP_MAX_CORRESPONDENCE_DISTANCE = 0.1
 
 
 @dataclass(frozen=True)
@@ -159,26 +150,27 @@ def _check_registration_cloud(cloud: PointCloud) -> None:
 # it cheap, polishing is the fine pass's job.
 COARSE_CAUCHY_SCALE = 1.0
 COARSE_PARAM_TOLERANCE = 1e-2
+# Cauchy width (m) of the fine pass. A point weighs 1 / (1 + (r / width)^2):
+# scan noise of a few cm keeps nearly full weight, while clutter a few widths
+# off the map barely pulls on the pose.
+CAUCHY_SCALE = 0.1
 # Step tolerance of the fine pass: far below a field cell and the scan noise.
 PARAM_TOLERANCE = 1e-4
 
 
-def dll_register(
-    cloud: PointCloud,
-    grid: DfGrid,
-    guess: Pose4,
-    loss: RobustLoss = RobustLoss(),
-) -> RegistrationResult:
+def dll_register(cloud: PointCloud, grid: DfGrid, guess: Pose4) -> RegistrationResult:
     """Refine ``guess`` by minimizing the robust distance-field objective.
 
     With a narrow Cauchy kernel the robust cost flattens around guesses
     more than a few kernel widths off, so the refinement is scheduled
     coarse-to-fine: one pass with the kernel width ``COARSE_CAUCHY_SCALE``
-    and the step tolerance ``COARSE_PARAM_TOLERANCE``, then one with
-    ``loss`` and ``PARAM_TOLERANCE``, started from whichever of the guess
-    and the coarse result scores better under ``loss``. The returned cost
-    therefore never exceeds the cost at the guess. Each pose is evaluated
-    once: the fine pass starts from the coarse pass's own evaluation.
+    and the step tolerance ``COARSE_PARAM_TOLERANCE``, then one with the
+    width ``CAUCHY_SCALE`` and ``PARAM_TOLERANCE``, started from whichever
+    of the guess and the coarse result scores better under the fine kernel.
+    The returned cost therefore never exceeds the cost at the guess. Each
+    pose is evaluated once: the fine pass starts from the coarse pass's own
+    evaluation. The widths and tolerances are module constants; no run
+    configuration key sets them.
 
     Raises UnobservableCloudError when no point lands inside the grid at
     the guess (the pose is unconstrained there), and RegistrationError if
@@ -187,6 +179,7 @@ def dll_register(
     _check_registration_cloud(cloud)
     start = time.perf_counter()
     provider = df_residuals(grid, cloud.points)
+    loss = RobustLoss(CAUCHY_SCALE)
     coarse = solve_lm(provider, guess, RobustLoss(COARSE_CAUCHY_SCALE), COARSE_PARAM_TOLERANCE)
     x0, at_x0 = guess, coarse.initial_evaluation
     # With no point inside, every residual is the same constant and the
@@ -235,16 +228,11 @@ def align_4dof(source: np.ndarray, target: np.ndarray) -> Pose4:
     return Pose4(t[0], t[1], t[2], yaw)
 
 
-def icp_register(
-    cloud: PointCloud,
-    map_index: KdTree3,
-    guess: Pose4,
-    opts: IcpOptions = IcpOptions(),
-) -> RegistrationResult:
+def icp_register(cloud: PointCloud, map_index: KdTree3, guess: Pose4) -> RegistrationResult:
     """Iterative-closest-point baseline restricted to [tx, ty, tz, yaw].
 
-    Pairs beyond max_correspondence_distance are discarded; the rest weigh
-    equally. Stops on ``ICP_CONVERGENCE_EPSILON`` or after
+    Pairs beyond ``ICP_MAX_CORRESPONDENCE_DISTANCE`` are discarded; the
+    rest weigh equally. Stops on ``ICP_CONVERGENCE_EPSILON`` or after
     ``ICP_MAX_ITERATIONS``. Raises NoCorrespondencesError when an iteration
     is left with no pair.
     """
@@ -255,15 +243,14 @@ def icp_register(
     iterations = 0
     converged = False
     held = None
+    radius = ICP_MAX_CORRESPONDENCE_DISTANCE
     for _ in range(ICP_MAX_ITERATIONS):
         iterations += 1
         mapped = apply_pose(pose, pts)
         matches, dist, held = nearest_moving(map_index, mapped, held)
-        keep = dist <= opts.max_correspondence_distance
+        keep = dist <= radius
         if not keep.any():
-            raise NoCorrespondencesError(
-                f"no correspondences within {opts.max_correspondence_distance} m at iteration {iterations}"
-            )
+            raise NoCorrespondencesError(f"no correspondences within {radius} m at iteration {iterations}")
         src, dst = pts[keep], matches[keep]
         new_pose = align_4dof(src, dst)
         change = np.abs(new_pose.as_array() - pose.as_array())

@@ -69,7 +69,7 @@ def cauchy_rho(s, scale: float) -> tuple[np.ndarray, np.ndarray]:
 class RobustLoss:
     """Cauchy loss of width ``scale`` applied to each squared residual."""
 
-    scale: float = 0.1
+    scale: float
 
     def __post_init__(self):
         if not 0.0 < self.scale < math.inf:

@@ -19,7 +19,6 @@ from typing import Callable
 from .distance_field import DfGrid
 from .geometry import Attitude, PointCloud, Pose4, compose, tilt_compensate
 from .registration import RegistrationError, RegistrationResult, dll_register
-from .solver import RobustLoss
 
 Registrar = Callable[[PointCloud, Pose4], RegistrationResult]
 
@@ -77,13 +76,8 @@ def advance(state: TrackerState, frame: ScanFrame, register: Registrar) -> Track
     return TrackerState(result.pose, result, state.step_index + 1)
 
 
-def track_step(
-    state: TrackerState,
-    frame: ScanFrame,
-    grid: DfGrid,
-    loss: RobustLoss = RobustLoss(),
-) -> TrackerState:
+def track_step(state: TrackerState, frame: ScanFrame, grid: DfGrid) -> TrackerState:
     """Advance the tracker by one frame, registering against the distance field."""
     # dll_register is looked up in this module on each call, so a wrapper
     # installed as tracker.dll_register (tracing, tests) sees every step.
-    return advance(state, frame, lambda body, guess: dll_register(body, grid, guess, loss))
+    return advance(state, frame, lambda body, guess: dll_register(body, grid, guess))

@@ -358,10 +358,10 @@ def test_criterion_9_round_trips_and_errors(tmp_path, small_grid):
     # config: the documented error classes
     with pytest.raises(ConfigError):
         config_from_dict({"no.such.key": "1"})
-    with pytest.raises(ConfigError):
-        config_from_dict({"loss.scale": "fast"})
-    with pytest.raises(ConfigError):
-        config_from_dict({"loss.scale": "-0.1"})
+    with pytest.raises(ConfigError, match="key 'scene.extent': bad value"):
+        config_from_dict({"scene.extent": "fast"})
+    with pytest.raises(ConfigError, match="key 'scene.extent': bad value"):
+        config_from_dict({"scene.extent": "-0.1"})
     return f"trajectory round trip max err {worst:.1e}"
 
 

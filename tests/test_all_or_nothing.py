@@ -63,7 +63,7 @@ def _trajectory(tmp_path):
 
 def _config(tmp_path):
     path = tmp_path / "run.cfg"
-    path.write_text("# run\nloss.scale = 0.2\nscene.extent = 8\nseed = 3\n")
+    path.write_text("# run\nnoise.sigma_t = 0.2\nscene.extent = 8\nseed = 3\n")
     return path, lambda: formats.load_config(path), formats.ConfigError
 
 

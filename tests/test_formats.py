@@ -175,8 +175,7 @@ def test_trajectory_refuses_the_old_layout(tmp_path):
 def test_config_defaults_from_empty():
     cfg = config_from_dict({})
     assert cfg.sim.extent == 10.0  # desk-scale scene default
-    assert cfg.loss.scale == 0.1  # robust kernel default
-    assert cfg.icp.max_correspondence_distance == 0.1
+    assert cfg.seed == 0
 
 
 def test_config_override():
@@ -215,8 +214,6 @@ def test_config_constraint_violation():
 # plus NaN and inf for every float key: NaN fails every comparison, so a check
 # written as `x < 0` would let it through, and inf passes `x > 0`.
 CONSTRAINT_VIOLATIONS = {
-    "loss.scale": ["0", "nan", "inf"],
-    "icp.max_correspondence_distance": ["0", "nan", "inf"],
     "noise.sigma_t": ["-0.1", "nan", "inf"],
     "noise.sigma_yaw": ["-0.1", "nan", "inf"],
     "scene.kind": ["forest"],
@@ -231,13 +228,15 @@ CONSTRAINT_VIOLATIONS = {
     "seed": ["1.5", "-1"],
 }
 
-# Keys that were once config keys: the damping factors, the frame spacing and
-# the stopping rules of the solver and of ICP are now constants of solver,
-# synth and registration, and the loss is always Cauchy. The values they used
-# to take (the default comes last) or refuse must all be refused now, as
-# unknown keys.
+# Keys that were once config keys: the damping factors, the frame spacing,
+# the stopping rules of the solver and of ICP, the Cauchy width and ICP's
+# correspondence radius are now constants of solver, synth and registration,
+# and the loss is always Cauchy. The values they used to take (the default
+# comes last) or refuse must all be refused now, as unknown keys.
 RETIRED_KEY_VIOLATIONS = {
     "loss.kind": ["cauchy", "none", "huber"],
+    "loss.scale": ["0", "nan", "inf", "0.1"],
+    "icp.max_correspondence_distance": ["0", "nan", "inf", "0.1"],
     "solver.damping_increase": ["1", "nan", "inf"],
     "solver.damping_decrease": ["0", "1", "nan", "inf"],
     "trajectory.frame_dt": ["0", "nan", "inf"],
@@ -310,13 +309,19 @@ def test_formats_md_config_table_matches_defaults():
             assert float(documented) == value, key
 
 
+def test_formats_md_names_every_retired_key():
+    section = _formats_md().split("## Run configuration", 1)[1].split("\n## ", 1)[0]
+    missing = [key for key in RETIRED_KEY_VIOLATIONS if f"`{key}`" not in section]
+    assert not missing, f"FORMATS.md's run configuration does not name {missing}"
+
+
 def test_config_file_parsing(tmp_path):
     path = tmp_path / "run.cfg"
-    path.write_text("# comment\nscene.extent = 20.0\nseed = 9\n\nloss.scale = 0.25\n")
+    path.write_text("# comment\nscene.extent = 20.0\nseed = 9\n\nnoise.sigma_t = 0.25\n")
     cfg = load_config(path)
     assert cfg.sim.extent == 20.0
     assert cfg.seed == 9
-    assert cfg.loss.scale == 0.25
+    assert cfg.noise.sigma_t == 0.25
 
 
 def test_keyvalue_syntax_error(tmp_path):
@@ -325,8 +330,8 @@ def test_keyvalue_syntax_error(tmp_path):
 
 
 def test_keyvalue_repeated_key_is_refused():
-    with pytest.raises(ConfigError, match="line 3: key 'loss.scale'"):
-        parse_keyvalues("loss.scale = 0.1\n# again\nloss.scale = 5\n", "<test>")
+    with pytest.raises(ConfigError, match="line 3: key 'scene.extent'"):
+        parse_keyvalues("scene.extent = 0.1\n# again\nscene.extent = 5\n", "<test>")
 
 
 def test_scenario_bundle_round_trip(tmp_path):

@@ -17,10 +17,10 @@ from dfloc.geometry import (
 )
 from dfloc.nnsearch import build_index
 from dfloc.registration import (
+    CAUCHY_SCALE,
     COARSE_CAUCHY_SCALE,
     COARSE_PARAM_TOLERANCE,
     PARAM_TOLERANCE,
-    IcpOptions,
     IcpReport,
     NoCorrespondencesError,
     UnobservableCloudError,
@@ -72,8 +72,8 @@ def test_dll_objective_decrease(small_scene, small_grid):
     true = Pose4(2.9, 3.1, 1.1, 0.2)
     body = _scan_at(small_scene, true, seed=33)
     guess = Pose4(true.tx + 0.3, true.ty + 0.2, true.tz - 0.2, true.yaw + 0.05)
-    loss = RobustLoss()
-    res = dll_register(body, small_grid, guess, loss)
+    loss = RobustLoss(CAUCHY_SCALE)
+    res = dll_register(body, small_grid, guess)
     provider = df_residuals(small_grid, body.points)
     cost_guess = loss.cost_and_weights(provider(guess)[0])[0]
     cost_final = loss.cost_and_weights(provider(res.pose)[0])[0]
@@ -237,7 +237,8 @@ def test_icp_matches_known_correspondence_alignment(monkeypatch, small_scene):
     body = PointCloud(body_pts, Frame.BODY)
     monkeypatch.setattr(registration, "ICP_MAX_ITERATIONS", 50)
     monkeypatch.setattr(registration, "ICP_CONVERGENCE_EPSILON", 1e-12)
-    res = icp_register(body, index, Pose4.identity(), IcpOptions(max_correspondence_distance=1e9))
+    monkeypatch.setattr(registration, "ICP_MAX_CORRESPONDENCE_DISTANCE", 1e9)
+    res = icp_register(body, index, Pose4.identity())
     # compare against the closed form on the true pairs
     direct = align_4dof(body_pts, map_pts)
     assert np.abs(res.pose.as_array() - direct.as_array()).max() < 1e-9
@@ -256,6 +257,27 @@ def test_icp_reads_its_stopping_rules_at_call_time(monkeypatch, small_scene):
     assert report.converged and report.iterations == 1
 
 
+def test_registration_reads_its_kernel_width_and_radius_at_call_time(monkeypatch, small_scene, small_grid):
+    # The tests above set both by monkeypatching the constants.
+    body = _scan_at(small_scene, Pose4(3.0, 2.5, 1.4, 0.2), seed=46, noise=0.02)
+    guess = Pose4(3.1, 2.45, 1.45, 0.25)
+    fine = []
+    real = registration.solve_lm
+
+    def spy(provider, x0, loss, param_tolerance, **kwargs):
+        fine.append(loss)
+        return real(provider, x0, loss, param_tolerance, **kwargs)
+
+    monkeypatch.setattr(registration, "solve_lm", spy)
+    monkeypatch.setattr(registration, "CAUCHY_SCALE", 0.3)
+    dll_register(body, small_grid, guess)
+    assert fine[-1] == RobustLoss(0.3)
+    index = build_index(small_scene.map)
+    monkeypatch.setattr(registration, "ICP_MAX_CORRESPONDENCE_DISTANCE", 1e-12)
+    with pytest.raises(NoCorrespondencesError, match="within 1e-12 m"):
+        icp_register(body, index, guess)
+
+
 def test_icp_no_correspondences_error(small_scene):
     index = build_index(small_scene.map)
     body = PointCloud(np.zeros((10, 3)), Frame.BODY)
@@ -272,13 +294,13 @@ def test_icp_counts_add_up(small_scene):
     assert res.points_used + res.points_out_of_map == len(body)
 
 
-def _icp_every_point_every_iteration(cloud, index, guess, opts=IcpOptions()):
+def _icp_every_point_every_iteration(cloud, index, guess):
     """ICP as first written: every point queried, and the cost taken, on every iteration."""
     pts, pose = cloud.points, guess
     for iterations in range(1, registration.ICP_MAX_ITERATIONS + 1):
         won, dist = index.nearest_many(apply_pose(pose, pts))
         matches = index.points[won]
-        keep = dist <= opts.max_correspondence_distance
+        keep = dist <= registration.ICP_MAX_CORRESPONDENCE_DISTANCE
         if not keep.any():
             raise NoCorrespondencesError(iterations)
         src, dst = pts[keep], matches[keep]
@@ -356,7 +378,8 @@ def test_dll_always_runs_the_coarse_pass(monkeypatch, small_scene, small_grid, s
     body = _scan_at(small_scene, true, seed=47, noise=0.01)
     _forbid_query_many(monkeypatch)
     calls = _record_query_columns(monkeypatch)
-    res = dll_register(body, small_grid, Pose4(3.05, 2.45, 1.2, 0.41), RobustLoss(scale))
+    monkeypatch.setattr(registration, "CAUCHY_SCALE", scale)
+    res = dll_register(body, small_grid, Pose4(3.05, 2.45, 1.2, 0.41))
     assert res.coarse_report is not None
     assert len(calls) == res.coarse_report.evaluations + res.report.evaluations
 
@@ -391,7 +414,7 @@ def test_coarse_pass_takes_the_caller_options_with_a_loose_stop(
 ):
     # Both passes run under the solver's damping and iteration budget; the
     # coarse pass has the wide kernel and the loose step tolerance, the fine
-    # pass the caller's loss and PARAM_TOLERANCE.
+    # pass the CAUCHY_SCALE kernel and PARAM_TOLERANCE.
     true = Pose4(3.0, 2.5, 1.2, 0.4)
     body = _scan_at(small_scene, true, seed=50)
     seen = []
@@ -405,11 +428,11 @@ def test_coarse_pass_takes_the_caller_options_with_a_loose_stop(
     monkeypatch.setattr(registration, "solve_lm", spy)
     monkeypatch.setattr(solver, "INITIAL_DAMPING", damping)
     monkeypatch.setattr(solver, "MAX_ITERATIONS", max_iterations)
-    loss = RobustLoss(0.2)
-    dll_register(body, small_grid, Pose4(3.2, 2.4, 1.3, 0.45), loss)
+    monkeypatch.setattr(registration, "CAUCHY_SCALE", 0.2)
+    dll_register(body, small_grid, Pose4(3.2, 2.4, 1.3, 0.45))
     assert [s[:4] for s in seen] == [
         (RobustLoss(COARSE_CAUCHY_SCALE), COARSE_PARAM_TOLERANCE, damping, max_iterations),
-        (loss, PARAM_TOLERANCE, damping, max_iterations),
+        (RobustLoss(0.2), PARAM_TOLERANCE, damping, max_iterations),
     ]
     assert all(1 <= s[4] <= max_iterations for s in seen)
 
@@ -432,7 +455,7 @@ def test_leaving_the_map_never_lowers_the_cost(small_scene, small_grid):
     true = Pose4(3.0, 3.0, 1.5, 0.0)
     body = _scan_at(small_scene, true, seed=52, noise=0.02)
     provider = df_residuals(small_grid, body.points)
-    loss = RobustLoss()
+    loss = RobustLoss(CAUCHY_SCALE)
     cost_true = loss.cost_and_weights(provider(true)[0])[0]
     for dz in (-1.5, -3.0, 3.0, 100.0):
         off = Pose4(true.tx, true.ty, true.tz + dz, true.yaw)

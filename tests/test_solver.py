@@ -76,7 +76,7 @@ def test_zero_residual_start_converges_immediately():
     def provider(pose):
         return np.zeros(3), np.zeros((3, 4))
 
-    report = solve_lm(provider, Pose4(1.0, 2.0, 3.0, 0.5), RobustLoss(), PARAM_TOLERANCE)
+    report = solve_lm(provider, Pose4(1.0, 2.0, 3.0, 0.5), RobustLoss(0.1), PARAM_TOLERANCE)
     assert report.converged
     assert report.iterations <= 1
     assert report.final_params == Pose4(1.0, 2.0, 3.0, 0.5)
@@ -180,7 +180,7 @@ def test_non_finite_initial_cost_is_numerical_failure():
     def provider(pose):
         return np.array([math.inf]), np.ones((1, 4))
 
-    report = solve_lm(provider, Pose4.identity(), RobustLoss(), PARAM_TOLERANCE)
+    report = solve_lm(provider, Pose4.identity(), RobustLoss(0.1), PARAM_TOLERANCE)
     assert report.termination is Termination.NUMERICAL_FAILURE
     assert not report.converged
 
