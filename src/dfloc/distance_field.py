@@ -194,7 +194,11 @@ def plan_grid(cloud: PointCloud, resolution: float = 0.05, margin: float = 1.0) 
     spec = GridSpec(lo, float(resolution), 2, 2, 2, float(margin))
     # The 1e-9 slack keeps exact tilings (span an integer multiple of the
     # resolution) from picking up a spurious extra cell.
-    nx, ny, nz = (int(n) for n in np.maximum(2.0, np.ceil((hi - lo) / spec.resolution - 1e-9)))
+    with np.errstate(over="ignore"):  # an infinite count is refused below
+        cells = np.maximum(2.0, np.ceil((hi - lo) / spec.resolution - 1e-9))
+    if not np.isfinite(cells).all():
+        raise GridDimensionError(f"cell counts {tuple(cells.tolist())} exceed the supported {MAX_NODES} nodes")
+    nx, ny, nz = (int(n) for n in cells)
     return replace(spec, nx=nx, ny=ny, nz=nz)
 
 

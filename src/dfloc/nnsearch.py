@@ -43,6 +43,9 @@ LEAF_SIZE = 16
 FIELD_LEAF_SIZE = 64
 # Runner-up gaps (m) up to this are ties; certificates keep it as a margin over rounding.
 TIE_GAP = 1e-9
+# Relative rounding bound of the expanded squared distance |q|^2 - 2 q.p + |p|^2:
+# its error is a few ulps of |q|^2 + |p|^2, far below this multiple of them.
+EXPANDED_FORM_SLACK = 64 * np.finfo(np.float64).eps
 
 
 def _as_points(points) -> np.ndarray:
@@ -150,9 +153,12 @@ def brute_force_nearest(points, q) -> tuple[np.ndarray, float]:
 def brute_force_distances(points, queries) -> np.ndarray:
     """Exact nearest distance from each query to the cloud by blocked linear scan.
 
-    The argmin runs on the expanded |q|^2 - 2 q.p + |p|^2 form (fast, BLAS),
-    then the winning distance is recomputed by direct subtraction so the
-    result carries no cancellation error.
+    The expanded |q|^2 - 2 q.p + |p|^2 form (fast, BLAS) picks, per query,
+    the points whose value lies within its rounding bound
+    (``EXPANDED_FORM_SLACK``) of the minimum; the direct expression of
+    ``exact_distance`` ranks those, the lowest index first among equals. So
+    rounding ties break as in the tree, and the result carries no
+    cancellation error.
     """
     pts = _as_points(points)
     if pts.shape[0] == 0:
@@ -166,7 +172,18 @@ def brute_force_distances(points, queries) -> np.ndarray:
     win = np.empty(q.shape[0], dtype=np.intp)
     for start in range(0, q.shape[0], block):
         blk = q[start : start + block]
-        d2 = (blk**2).sum(axis=1)[:, None] - 2.0 * (blk @ pts.T) + p2[None, :]
-        win[start : start + block] = np.argmin(d2, axis=1)
+        q2 = (blk**2).sum(axis=1)
+        d2 = blk @ pts.T  # then -2 q.p + |q|^2 + |p|^2, in place
+        d2 *= -2.0
+        d2 += q2[:, None]
+        d2 += p2
+        bound = d2.min(axis=1) + EXPANDED_FORM_SLACK * (q2 + p2.max())
+        rows, cols = np.divmod(np.flatnonzero(d2 <= bound[:, None]), len(pts))
+        # Sorted by row, then direct squared distance, then point index; each
+        # row's first candidate wins.
+        order = np.lexsort((((blk[rows] - pts[cols]) ** 2).sum(axis=-1), rows))
+        rows, cols = rows[order], cols[order]
+        first = np.flatnonzero(np.diff(rows, prepend=-1))
+        win[start + rows[first]] = cols[first]
     dist = exact_distance(q, pts[win])
     return dist[0] if single else dist

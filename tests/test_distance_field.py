@@ -2,6 +2,7 @@ import math
 import struct
 import sys
 import tracemalloc
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -164,16 +165,11 @@ def _lattice_by_every_node(cloud, spec):
     return dist.reshape(spec.nx + 1, spec.ny + 1, spec.nz + 1)
 
 
-def _assert_same_bits_as_every_node_queried(grid, cloud, oracle_tol=0.0):
-    """Bitwise against the every-node pass, and against the oracle, whose argmin runs
-    on the expanded form and so breaks rounding ties its own way: there within ``oracle_tol``."""
+def _assert_same_bits_as_every_node_queried(grid, cloud):
+    """Bitwise against the every-node pass and against the linear-scan oracle."""
     spec = grid.spec
     assert _same_bits(grid.node_distances, _lattice_by_every_node(cloud, spec))
-    oracle = brute_force_distances(cloud, spec.node_coordinates())
-    if oracle_tol:
-        assert np.abs(grid.node_distances.ravel() - oracle).max() <= oracle_tol
-    else:
-        assert _same_bits(grid.node_distances.ravel(), oracle)
+    assert _same_bits(grid.node_distances.ravel(), brute_force_distances(cloud, spec.node_coordinates()))
 
 
 @pytest.mark.parametrize("spacing", [1.0, 0.3])
@@ -186,7 +182,7 @@ def test_build_is_exact_where_nodes_tie(spacing):
     lattice = np.stack(np.meshgrid(*[np.arange(6.0)] * 3, indexing="ij"), axis=-1).reshape(-1, 3)
     cloud = PointCloud(spacing * lattice, Frame.MAP)
     spec = GridSpec(np.full(3, -17 * spacing / 2), spacing / 2, 44, 44, 44)
-    _assert_same_bits_as_every_node_queried(build_grid(cloud, spec), cloud, 0.0 if spacing == 1.0 else 1e-15)
+    _assert_same_bits_as_every_node_queried(build_grid(cloud, spec), cloud)
 
 
 def test_build_is_exact_on_a_line_of_nodes_equidistant_from_a_ring_of_points():
@@ -198,7 +194,7 @@ def test_build_is_exact_on_a_line_of_nodes_equidistant_from_a_ring_of_points():
     ring += [(0.5, 0.0), (-0.5, 0.0), (0.0, 0.5), (0.0, -0.5)]
     cloud = PointCloud(np.array([(0.0, y, z) for y, z in ring]), Frame.MAP)
     spec = GridSpec(np.full(3, -3.2), 0.1, 64, 64, 64)
-    _assert_same_bits_as_every_node_queried(build_grid(cloud, spec), cloud, 1e-15)
+    _assert_same_bits_as_every_node_queried(build_grid(cloud, spec), cloud)
 
 
 def test_build_is_exact_on_a_map_with_duplicate_points():
@@ -539,6 +535,17 @@ def test_plan_grid_refuses_more_than_max_nodes(resolution):
     corners = PointCloud(np.array([[0.0, 0.0, 0.0], [10.0, 10.0, 5.0]]), Frame.MAP)
     with pytest.raises(GridDimensionError, match="exceed"):
         plan_grid(corners, resolution, margin=1.0)
+
+
+def test_plan_grid_refuses_cell_counts_that_overflow_without_a_warning():
+    # The span over the resolution, or the span itself, overflows float64.
+    corners = PointCloud(np.array([[0.0, 0.0, 0.0], [10.0, 10.0, 5.0]]), Frame.MAP)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(GridDimensionError, match="exceed"):
+            plan_grid(corners, 1e-320, margin=1.0)
+        with pytest.raises(GridDimensionError, match="exceed"):
+            plan_grid(corners, 0.1, margin=1e308)
 
 
 def test_load_rejects_dimension_overflow(tmp_path, small_grid):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dfloc.distance_field import GridSpec
 from dfloc.geometry import Frame, PointCloud
 from dfloc.nnsearch import (
     FIELD_LEAF_SIZE,
@@ -78,6 +79,33 @@ def test_leaf_size_does_not_change_distances():
     for leaf in (1, LEAF_SIZE, FIELD_LEAF_SIZE, 256):
         _, d = build_index(pts, leaf_size=leaf).nearest_many(queries, workers=2)
         assert np.array_equal(d.view(np.uint64), oracle.view(np.uint64)), leaf
+
+
+def _tied_lattice():
+    # A 6x6x6 lattice of map points 0.3 m apart, queried at the 0.15 m nodes
+    # around it: most nodes tie between 2 to 8 points, and the coordinates are
+    # not binary fractions, so rounding breaks the ties.
+    lattice = np.stack(np.meshgrid(*[np.arange(6.0)] * 3, indexing="ij"), axis=-1).reshape(-1, 3)
+    return 0.3 * lattice, GridSpec(np.full(3, -2.55), 0.15, 44, 44, 44).node_coordinates()
+
+
+def _ring_on_an_axis():
+    # 12 map points on the circle of radius 0.5 around the x axis, queried on
+    # a 0.1 m lattice: every node on the axis is equidistant from all of them.
+    ring = [(a * sa, b * sb) for a, b in ((0.3, 0.4), (0.4, 0.3)) for sa in (1, -1) for sb in (1, -1)]
+    ring += [(0.5, 0.0), (-0.5, 0.0), (0.0, 0.5), (0.0, -0.5)]
+    pts = np.array([(0.0, y, z) for y, z in ring])
+    return pts, GridSpec(np.full(3, -3.2), 0.1, 64, 64, 64).node_coordinates()
+
+
+@pytest.mark.parametrize("case", [_tied_lattice, _ring_on_an_axis], ids=["tied-lattice", "ring"])
+def test_oracle_breaks_rounding_ties_as_the_tree_does(case):
+    pts, queries = case()
+    oracle = brute_force_distances(pts, queries)
+    for leaf in (LEAF_SIZE, FIELD_LEAF_SIZE):
+        _, d = build_index(pts, leaf_size=leaf).nearest_many(queries)
+        differ = int((d.view(np.uint64) != oracle.view(np.uint64)).sum())
+        assert differ == 0, f"leaf {leaf}: {differ} of {len(queries)} rows differ"
 
 
 def test_translation_equivariance():
