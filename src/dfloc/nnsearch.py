@@ -156,9 +156,8 @@ def brute_force_distances(points, queries) -> np.ndarray:
     The expanded |q|^2 - 2 q.p + |p|^2 form (fast, BLAS) picks, per query,
     the points whose value lies within its rounding bound
     (``EXPANDED_FORM_SLACK``) of the minimum; the direct expression of
-    ``exact_distance`` ranks those, the lowest index first among equals. So
-    rounding ties break as in the tree, and the result carries no
-    cancellation error.
+    ``exact_distance`` ranks those. So rounding ties break as in the tree,
+    and the result carries no cancellation error.
     """
     pts = _as_points(points)
     if pts.shape[0] == 0:
@@ -169,7 +168,8 @@ def brute_force_distances(points, queries) -> np.ndarray:
     # About 1 M elements, 8 MB, per (block, N) temporary.
     block = max(1, 1_000_000 // pts.shape[0])
     p2 = (pts**2).sum(axis=1)
-    win = np.empty(q.shape[0], dtype=np.intp)
+    p2_max = p2.max()
+    win = np.zeros(q.shape[0], dtype=np.intp)  # a NaN row has no candidate; it keeps point 0
     for start in range(0, q.shape[0], block):
         blk = q[start : start + block]
         q2 = (blk**2).sum(axis=1)
@@ -177,7 +177,7 @@ def brute_force_distances(points, queries) -> np.ndarray:
         d2 *= -2.0
         d2 += q2[:, None]
         d2 += p2
-        bound = d2.min(axis=1) + EXPANDED_FORM_SLACK * (q2 + p2.max())
+        bound = d2.min(axis=1) + EXPANDED_FORM_SLACK * (q2 + p2_max)
         rows, cols = np.divmod(np.flatnonzero(d2 <= bound[:, None]), len(pts))
         # Sorted by row, then direct squared distance, then point index; each
         # row's first candidate wins.
