@@ -93,7 +93,7 @@ def run_tracking(
         return icp_register(body, map_index, guess)
 
     if method == "dll":
-        grid.coeffs  # a grid fits its table on first use: fit it before any scan is timed
+        grid.band  # a grid fits its band on first use: fit it before any scan is timed
     rows: list[TrajectoryRow] = []
     times: list[float] = []
     divergence_step: int | None = None

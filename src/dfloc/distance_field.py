@@ -42,6 +42,16 @@ MAX_NODES = 1 << 33
 # Their peak memory is the node lattice plus the working arrays of one slab.
 SLAB_NODES = 1 << 16
 
+# A cell keeps a coefficient row when its smallest corner distance is at most
+# this many times the resolution; a query of any other cell fits it from its
+# 8 nodes.
+# Registration queries lie near the surface: within sensor noise once a scan
+# is aligned, within the odometry error before. At 2 cells the band is about
+# a sixth of a 0.1 m room grid's cells and takes 97.5 % of the tracking
+# benchmark's queries; a wider band costs memory for little speed (see
+# CHANGES.md for the measurements).
+BAND_CELLS = 2
+
 # Strides, in lattice nodes, of the planes a build queries, coarse to fine.
 FILL_STRIDES = (32, 16, 8, 4, 2)
 # A lattice node whose winner is not known yet, during a build.
@@ -126,13 +136,20 @@ def _slabs(spec: GridSpec, planes: int) -> list[tuple[int, int]]:
 
 @dataclass(frozen=True)
 class DfGrid:
-    """Built distance field: node lattice plus per-cell trilinear coefficients.
+    """Built distance field: node lattice plus the trilinear coefficients of the cells near the surface.
 
-    node_distances has shape (nx+1, ny+1, nz+1). ``coeffs``, shape (nx, ny,
-    nz, 8), is the ``table`` passed in (``load_grid`` passes the stored one),
-    else it is fitted from the nodes, slab by slab, on first access and kept.
-    Both are read-only, so a grid can serve any number of concurrent queries;
-    racing first accesses at worst fit it twice. ``max_distance`` is the
+    node_distances has shape (nx+1, ny+1, nz+1). A cell's coefficients are
+    the fit of its 8 nodes (``fit_cell_coeffs``), unless ``table``, shape
+    (nx, ny, nz, 8), gives others; ``load_grid`` passes the stored one.
+    ``band`` is what the grid keeps of the table: ``(slots, rows)``, with
+    one int32 slot per lattice node and a row for each cell that is in the
+    band (smallest corner distance at most ``BAND_CELLS`` times the
+    resolution) or whose given row is not bitwise the fit of its nodes. A
+    cell's slot, at its minimum corner, is the index of its row or -1. A
+    grid given no table fits its band from the nodes on first access. ``coeffs`` assembles and keeps the
+    whole table on request; queries never ask for it. Everything is
+    read-only, so a grid can serve any number of concurrent queries; racing
+    first accesses at worst fit the band twice. ``max_distance`` is the
     largest node distance, an upper bound of the field inside the volume.
     """
 
@@ -146,29 +163,35 @@ class DfGrid:
         expect_nodes = (self.spec.nx + 1, self.spec.ny + 1, self.spec.nz + 1)
         if nodes.shape != expect_nodes:
             raise ValueError(f"node lattice shape {nodes.shape} != {expect_nodes}")
-        if not np.isfinite(nodes).all() or (nodes < 0.0).any():
+        lo, hi = nodes.min(), nodes.max()  # NaN if any node is NaN
+        if not 0.0 <= lo <= hi < math.inf:
             raise ValueError("node distances must be finite and non-negative")
         nodes.setflags(write=False)
         object.__setattr__(self, "node_distances", nodes)
-        object.__setattr__(self, "max_distance", float(nodes.max()))
+        object.__setattr__(self, "max_distance", float(hi))
         if table is not None:
-            coeffs = np.ascontiguousarray(np.asarray(table, dtype=np.float64))
+            coeffs = np.asarray(table, dtype=np.float64)
             expect_cells = (self.spec.nx, self.spec.ny, self.spec.nz, 8)
             if coeffs.shape != expect_cells:
                 raise ValueError(f"coefficient array shape {coeffs.shape} != {expect_cells}")
-            if not np.isfinite(coeffs).all():
-                raise ValueError("cell coefficients must be finite")
-            coeffs.setflags(write=False)
-            self.__dict__["coeffs"] = coeffs  # the kept value of the cached property
+            slabs = (coeffs[c0:c1] for c0, c1 in _slabs(self.spec, self.spec.nx))
+            self.__dict__["band"] = _band(self.spec, nodes, slabs)  # the kept value of the cached property
+
+    @cached_property
+    def band(self) -> tuple[np.ndarray, np.ndarray]:
+        return _band(self.spec, self.node_distances)
 
     def coeff_slabs(self):
-        """Yield the coefficient table by x slabs: slices of a kept table, else fitted from the nodes."""
-        table, spec = self.__dict__.get("coeffs"), self.spec
+        """Yield the coefficient table by x slabs: the fit of the nodes, with the band's rows put in."""
+        spec, band = self.spec, self.__dict__.get("band")
         for c0, c1 in _slabs(spec, spec.nx):
-            if table is not None:
-                yield table[c0:c1]
-            else:
-                yield fit_cell_coeffs(self.node_distances[c0 : c1 + 1], spec.resolution)
+            slab = fit_cell_coeffs(self.node_distances[c0 : c1 + 1], spec.resolution)
+            if band is not None:
+                slots, rows = band
+                slot = slots.reshape(self.node_distances.shape)[c0:c1, :-1, :-1]
+                kept = slot >= 0
+                slab[kept] = rows[slot[kept]]
+            yield slab
 
     @cached_property
     def coeffs(self) -> np.ndarray:
@@ -176,6 +199,57 @@ class DfGrid:
         table = np.fromiter(planes, np.dtype((np.float64, (self.spec.ny, self.spec.nz, 8))), self.spec.nx)
         table.setflags(write=False)
         return table
+
+
+def _band(spec: GridSpec, nodes: np.ndarray, table_slabs=None) -> tuple[np.ndarray, np.ndarray]:
+    """A grid's ``(slots, rows)`` from its nodes and, if given, its table in ``_slabs`` order.
+
+    A cell keeps a row when it is in the band, or when its given row is not
+    bitwise the fit of its nodes; the kept row is the given one, else the
+    fit. Holds the nodes, the slots, the rows and one slab's working arrays.
+    """
+    slabs = _slabs(spec, spec.nx)
+    # A row index fits int32 unless the grid has 2**31 cells or more.
+    dtype = np.int32 if spec.nx * spec.ny * spec.nz < 1 << 31 else np.int64
+    slots = np.full(nodes.size, -1, dtype=dtype)
+    lattice = slots.reshape(nodes.shape)
+    reach = BAND_CELLS * spec.resolution
+    count = 0
+    for c0, c1 in slabs:
+        low = np.minimum(nodes[c0:c1], nodes[c0 + 1 : c1 + 1])
+        low = np.minimum(low[:, :-1], low[:, 1:])
+        near = np.minimum(low[:, :, :-1], low[:, :, 1:]) <= reach
+        n = int(np.count_nonzero(near))
+        lattice[c0:c1, :-1, :-1][near] = np.arange(count, count + n)
+        count += n
+    rows = np.empty((count, 8))
+    extra = []
+    for (c0, c1), given in zip(slabs, table_slabs or [None] * len(slabs)):
+        d = nodes[c0 : c1 + 1]
+        slot = lattice[c0:c1, :-1, :-1]
+        kept = slot >= 0
+        if given is None:
+            rows[slot[kept]] = fit_cell_coeffs(d, spec.resolution)[kept]
+            continue
+        given = np.ascontiguousarray(given, dtype=np.float64)
+        if not -math.inf < given.min() <= given.max() < math.inf:  # NaN fails
+            raise ValueError("cell coefficients must be finite")
+        # Compared coefficient by coefficient: the slab's fit is never held whole.
+        stale = np.zeros(kept.shape, dtype=bool)
+        for k, coeff in enumerate(_trilinear_fit(_lattice_corners(d), spec.resolution)):
+            stale |= given[..., k].view(np.uint64) != coeff.view(np.uint64)
+        stale &= ~kept
+        n = int(np.count_nonzero(stale))
+        if n:
+            slot[stale] = np.arange(count, count + n)
+            count += n
+            extra.append(given[stale])
+        rows[slot[kept]] = given[kept]
+    if extra:
+        rows = np.concatenate([rows, *extra])
+    slots.setflags(write=False)
+    rows.setflags(write=False)
+    return slots, rows
 
 
 def plan_grid(cloud: PointCloud, resolution: float = 0.05, margin: float = 1.0) -> GridSpec:
@@ -213,20 +287,33 @@ def fit_cell_coeffs(nodes, resolution: float) -> np.ndarray:
     d = np.asarray(nodes, dtype=np.float64)
     if d.ndim != 3:
         raise ValueError(f"expected a 3-D node lattice, got shape {d.shape}")
+    corners = _lattice_corners(d)
+    out = np.empty(corners[0].shape + (8,))
+    for k, coeff in enumerate(_trilinear_fit(corners, resolution)):
+        out[..., k] = coeff
+    return out
+
+
+def _lattice_corners(d: np.ndarray) -> list[np.ndarray]:
+    """Views of a node lattice at each cell's 8 corners, in ``_trilinear_fit``'s order."""
+    lo, hi = slice(None, -1), slice(1, None)
+    return [d[x, y, z] for z in (lo, hi) for y in (lo, hi) for x in (lo, hi)]
+
+
+def _trilinear_fit(corners, resolution: float):
+    """Yield, one at a time, the 8 coefficients of cells whose corner distances are
+    ``corners`` = (d000, d100, d010, d110, d001, d101, d011, d111), x fastest."""
+    d000, d100, d010, d110, d001, d101, d011, d111 = corners
     r = float(resolution)
     r2, r3 = r * r, r * r * r
-    d000, d100, d010, d110 = d[:-1, :-1, :-1], d[1:, :-1, :-1], d[:-1, 1:, :-1], d[1:, 1:, :-1]
-    d001, d101, d011, d111 = d[:-1, :-1, 1:], d[1:, :-1, 1:], d[:-1, 1:, 1:], d[1:, 1:, 1:]
-    out = np.empty(d000.shape + (8,))
-    out[..., 0] = d000
-    out[..., 1] = (d100 - d000) / r
-    out[..., 2] = (d010 - d000) / r
-    out[..., 3] = (d001 - d000) / r
-    out[..., 4] = (d110 - d100 - d010 + d000) / r2
-    out[..., 5] = (d101 - d100 - d001 + d000) / r2
-    out[..., 6] = (d011 - d010 - d001 + d000) / r2
-    out[..., 7] = (d111 - d110 - d101 - d011 + d100 + d010 + d001 - d000) / r3
-    return out
+    yield d000
+    yield (d100 - d000) / r
+    yield (d010 - d000) / r
+    yield (d001 - d000) / r
+    yield (d110 - d100 - d010 + d000) / r2
+    yield (d101 - d100 - d001 + d000) / r2
+    yield (d011 - d010 - d001 + d000) / r2
+    yield (d111 - d110 - d101 - d011 + d100 + d010 + d001 - d000) / r3
 
 
 def build_grid(cloud: PointCloud, spec: GridSpec, workers: int = -1) -> DfGrid:
@@ -334,8 +421,11 @@ def query_columns(grid: DfGrid, qx, qy, qz):
 
     This is the hot path shared by query_many and the registration
     residuals; it works on 1D coordinate arrays to avoid (N, 3)
-    intermediates and axis reductions. It is the one place that decides
-    the field outside the volume: value ``grid.max_distance``, gradient 0.
+    intermediates and axis reductions. A cell's coefficients are its row in
+    ``grid.band``, or else the fit of its 8 nodes, computed as
+    ``fit_cell_coeffs`` computes it, so a query reads the same bits as from
+    the whole table. It is the one place that decides the field outside the
+    volume: value ``grid.max_distance``, gradient 0.
     """
     spec = grid.spec
     res = spec.resolution
@@ -347,13 +437,18 @@ def query_columns(grid: DfGrid, qx, qy, qz):
     inside = (
         (rx >= 0.0) & (rx <= nx) & (ry >= 0.0) & (ry <= ny) & (rz >= 0.0) & (rz <= nz)
     )
-    # Upper boundary folds into the last cell. In-place ufuncs clamp faster than
-    # np.clip; np.array keeps a single point a 0-d array, which out= needs.
-    ix, iy, iz = (np.array(np.floor(r), dtype=np.int64) for r in (rx, ry, rz))
+    # The cast truncates toward zero: the floor, except below 0, where the clamp
+    # takes both to 0. The upper boundary folds into the last cell. In-place
+    # ufuncs clamp faster than np.clip; np.array keeps a single point a 0-d
+    # array, which out= needs.
+    ix, iy, iz = (np.array(r, dtype=np.int64) for r in (rx, ry, rz))
+    all_inside = inside.all()
     for i, n in ((ix, nx), (iy, ny), (iz, nz)):
-        np.minimum(np.maximum(i, 0, out=i), n - 1, out=i)
-    flat = (ix * ny + iy) * nz + iz
-    c0, c1, c2, c3, c4, c5, c6, c7 = np.take(grid.coeffs.reshape(-1, 8), flat, axis=0).T
+        if not all_inside:
+            np.maximum(i, 0, out=i)
+        np.minimum(i, n - 1, out=i)
+    corner = (ix * (ny + 1) + iy) * (nz + 1) + iz  # each cell's minimum corner on the node lattice
+    c0, c1, c2, c3, c4, c5, c6, c7 = _cell_coeffs(grid, corner).T
     x = qx - (ox + ix * res)
     y = qy - (oy + iy * res)
     z = qz - (oz + iz * res)
@@ -363,13 +458,34 @@ def query_columns(grid: DfGrid, qx, qy, qz):
     value = c0 + c1 * x + y * t2 + z * gz
     gy = t2 + z * t4
     gx = c1 + y * c4 + z * (c5 + y * c7)
-    if not inside.all():
+    if not all_inside:
         zero = ~inside
         value = np.where(zero, grid.max_distance, value)
         gx = np.where(zero, 0.0, gx)
         gy = np.where(zero, 0.0, gy)
         gz = np.where(zero, 0.0, gz)
     return value, gx, gy, gz, inside
+
+
+def _cell_coeffs(grid: DfGrid, corner) -> np.ndarray:
+    """Coefficient rows, shape (..., 8), of the cells whose minimum corners are ``corner``
+    (flat lattice indices): the band's rows, and the fit of its 8 nodes for any other cell."""
+    slots, rows = grid.band
+    slot = slots[corner]
+    if slot.min(initial=0) >= 0:  # the initial value serves an empty query
+        return rows.take(slot, axis=0)
+    shape, slot, corner = np.shape(slot), np.ravel(slot), np.ravel(corner)
+    miss = np.flatnonzero(slot < 0)
+    coeffs = rows.take(np.maximum(slot, 0), axis=0) if len(rows) else np.empty((slot.size, 8))
+    sy = grid.spec.nz + 1
+    sx = (grid.spec.ny + 1) * sy
+    offsets = np.array([[x * sx + y * sy + z] for z in (0, 1) for y in (0, 1) for x in (0, 1)])
+    corners = np.take(grid.node_distances, offsets + corner[miss])  # (8, misses)
+    fitted = np.empty((8, miss.size))
+    for k, coeff in enumerate(_trilinear_fit(corners, grid.spec.resolution)):
+        fitted[k] = coeff
+    coeffs[miss] = fitted.T
+    return coeffs.reshape(shape + (8,))
 
 
 # After the magic: version, origin, resolution, margin, cell counts.
@@ -404,9 +520,12 @@ def save_grid(grid: DfGrid, path) -> None:
 def load_grid(path) -> DfGrid:
     """Read a grid written by save_grid; the round trip is bit-exact.
 
-    Raises GridMagicError, GridVersionError, GridDimensionError or
+    The nodes are read whole, the table one ``SLAB_NODES`` slab at a time,
+    and only the rows the grid keeps (see ``DfGrid``) are held. Raises
+    GridMagicError, GridVersionError, GridDimensionError or
     GridTruncatedError for the corresponding malformed inputs, before
-    reading the payload, and GridFileError for any other invalid content.
+    reading the payload; GridTruncatedError also when the file shrinks while
+    it is read; and GridFileError for any other invalid content.
     """
     with open(path, "rb") as fh:
         head = fh.read(_HEADER_SIZE)
@@ -424,17 +543,29 @@ def load_grid(path) -> DfGrid:
         except ValueError as exc:
             error = GridDimensionError if isinstance(exc, GridDimensionError) else GridFileError
             raise error(f"{path}: {exc}") from exc
-        n_nodes = (nx + 1) * (ny + 1) * (nz + 1)
-        expected = 8 * (n_nodes + 8 * nx * ny * nz)
+        expected = 8 * ((nx + 1) * (ny + 1) * (nz + 1) + 8 * nx * ny * nz)
         found = os.fstat(fh.fileno()).st_size - _HEADER_SIZE
         if found != expected:
             raise GridTruncatedError(f"{path}: payload is {found} bytes, header implies {expected} bytes")
-        payload = fh.read(expected)
-    if len(payload) != expected:  # the file shrank since fstat
-        raise GridTruncatedError(f"{path}: payload is {len(payload)} bytes, header implies {expected} bytes")
-    nodes = np.frombuffer(payload, dtype="<f8", count=n_nodes).reshape(nx + 1, ny + 1, nz + 1)
-    coeffs = np.frombuffer(payload, dtype="<f8", offset=8 * n_nodes).reshape(nx, ny, nz, 8)
-    try:
-        return DfGrid(spec, nodes, coeffs)
-    except ValueError as exc:
-        raise GridFileError(f"{path}: {exc}") from exc
+
+        def read(out):
+            if fh.readinto(out) != out.nbytes:  # the file shrank since fstat
+                found = fh.tell() - _HEADER_SIZE
+                raise GridTruncatedError(f"{path}: payload is {found} bytes, header implies {expected} bytes")
+            return out
+
+        def table_slabs():  # each read into the one buffer; _band copies what it keeps
+            slabs = _slabs(spec, nx)
+            buffer = np.empty((slabs[0][1], ny, nz, 8), dtype="<f8")  # the first slab is the widest
+            for c0, c1 in slabs:
+                yield read(buffer[: c1 - c0])
+
+        nodes = read(np.empty((nx + 1, ny + 1, nz + 1), dtype="<f8"))
+        try:
+            grid = DfGrid(spec, nodes)
+            grid.__dict__["band"] = _band(spec, grid.node_distances, table_slabs())
+        except GridTruncatedError:
+            raise
+        except ValueError as exc:
+            raise GridFileError(f"{path}: {exc}") from exc
+    return grid

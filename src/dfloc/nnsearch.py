@@ -1,17 +1,19 @@
 """Exact 3D nearest-neighbor search for the distance-field build and for ICP.
 
-The index wraps scipy's cKDTree (median split on the widest axis). Its
-leaf bucket size depends on where the queries fall. ICP's online
-correspondence queries lie near the surface, where small leaves are
-fastest, so ``build_index`` defaults to ``LEAF_SIZE = 16``. The field
-build queries lattice nodes, most of them far from the surface; such a
-query visits many leaves, and larger leaves make it cheaper, so the build
-uses ``FIELD_LEAF_SIZE``. ``nearest_many`` returns indices into
-``points``: the build compares winners by index and keeps them in its
-float64 node lattice, so it holds no lattice of points. Distances are
-always recomputed from the winning point by ``exact_distance``, the
-expression ``brute_force_nearest`` uses, so the tree and the linear-scan
-oracle agree bit for bit whatever the leaf size.
+The index wraps scipy's cKDTree (median split on the widest axis).
+``scipy.spatial`` (about 36 MB resident) is imported by the first
+``KdTree3``, not with this module, so a localizer that only queries a
+distance field never loads it. The index's leaf bucket size depends on
+where the queries fall. ICP's online correspondence queries lie near the
+surface, where small leaves are fastest, so ``build_index`` defaults to
+``LEAF_SIZE = 16``. The field build queries lattice nodes, most of them
+far from the surface; such a query visits many leaves, and larger leaves
+make it cheaper, so the build uses ``FIELD_LEAF_SIZE``. ``nearest_many``
+returns indices into ``points``: the build compares winners by index and
+keeps them in its float64 node lattice, so it holds no lattice of points.
+Distances are always recomputed from the winning point by
+``exact_distance``, the expression ``brute_force_nearest`` uses, so the
+tree and the linear-scan oracle agree bit for bit whatever the leaf size.
 
 Both callers skip tree queries with a runner-up certificate, which
 ``certified_nearest`` issues: a ``k=2`` answer is certified when
@@ -34,7 +36,6 @@ because a map point's Voronoi cell is convex.
 from __future__ import annotations
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .geometry import PointCloud
 
@@ -77,6 +78,8 @@ class KdTree3:
             raise ValueError("index points must be finite")
         self.points = np.ascontiguousarray(pts)
         self.points.setflags(write=False)
+        from scipy.spatial import cKDTree  # on first use: see the module docstring
+
         self._tree = cKDTree(self.points, leafsize=leaf_size, balanced_tree=True)
 
     def __len__(self) -> int:

@@ -25,7 +25,7 @@ from dfloc.distance_field import (
     query_many,
     save_grid,
 )
-from dfloc.geometry import Frame, FrameError, PointCloud
+from dfloc.geometry import Frame, FrameError, PointCloud, Pose4, apply_pose, rotate_z
 from dfloc.nnsearch import FIELD_LEAF_SIZE, brute_force_distances, build_index
 
 UNIT_CUBE = PointCloud(
@@ -409,6 +409,135 @@ def test_non_negative_everywhere(small_grid):
     pts = rng.uniform(spec.origin - 1, spec.upper + 1, size=(5000, 3))
     vals, _, _ = query_many(small_grid, pts)
     assert vals.min() >= 0.0
+
+
+@pytest.fixture(scope="module")
+def rotated_room():
+    # Walls at 30 degrees to the lattice axes, unlike every other test room.
+    scene = synth.make_scene("box_room", 6.0, 30.0, seed=7)
+    cloud = PointCloud(rotate_z(math.radians(30.0), scene.map.points), Frame.MAP)
+    return cloud, build_grid(cloud, plan_grid(cloud, 0.1, margin=0.3))
+
+
+def _fit_by_hand(nodes, res):
+    """The closed-form fit with every coefficient written out, additions in their order."""
+    d = nodes
+    d000, d100, d010, d110 = d[:-1, :-1, :-1], d[1:, :-1, :-1], d[:-1, 1:, :-1], d[1:, 1:, :-1]
+    d001, d101, d011, d111 = d[:-1, :-1, 1:], d[1:, :-1, 1:], d[:-1, 1:, 1:], d[1:, 1:, 1:]
+    r2, r3 = res * res, res * res * res
+    return np.stack([
+        d000,
+        (d100 - d000) / res,
+        (d010 - d000) / res,
+        (d001 - d000) / res,
+        (d110 - d100 - d010 + d000) / r2,
+        (d101 - d100 - d001 + d000) / r2,
+        (d011 - d010 - d001 + d000) / r2,
+        (d111 - d110 - d101 - d011 + d100 + d010 + d001 - d000) / r3,
+    ], axis=-1)
+
+
+def _cells(spec, pts):
+    """Each point's cell indices, with the upper boundary folded into the last cell, and the
+    in-volume mask."""
+    r = (np.asarray(pts, dtype=np.float64) - spec.origin) / spec.resolution
+    inside = ((r >= 0.0) & (r <= spec.counts)).all(axis=-1)
+    return np.clip(np.floor(r), 0, spec.counts - 1).astype(np.int64), inside
+
+
+def _query_by_table(table, spec, max_distance, pts):
+    """query_many as it was when a grid held its whole coefficient table."""
+    pts = np.asarray(pts, dtype=np.float64)
+    cell, inside = _cells(spec, pts)
+    res = spec.resolution
+    c0, c1, c2, c3, c4, c5, c6, c7 = np.moveaxis(table[cell[..., 0], cell[..., 1], cell[..., 2]], -1, 0)
+    x, y, z = (pts[..., a] - (spec.origin[a] + cell[..., a] * res) for a in range(3))
+    t2 = c2 + c4 * x
+    t4 = c6 + c7 * x
+    gz = (c3 + c5 * x) + y * t4
+    value = c0 + c1 * x + y * t2 + z * gz
+    gy = t2 + z * t4
+    gx = c1 + y * c4 + z * (c5 + y * c7)
+    grad = np.stack([gx, gy, gz], axis=-1)
+    return np.where(inside, value, max_distance), np.where(inside[..., None], grad, 0.0), inside
+
+
+def _identical(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _assert_queries_keep_the_bits(grid, table, pts):
+    want = _query_by_table(table, grid.spec, grid.max_distance, pts)
+    if pts.ndim == 1:
+        assert all(_identical(a, b) for a, b in zip(want, query_many(grid, pts)))
+        return
+    assert all(_identical(a, b) for a, b in zip(want, query_many(grid, pts)))
+    columns = distance_field.query_columns(grid, pts[:, 0], pts[:, 1], pts[:, 2])
+    assert all(_identical(a, b) for a, b in zip((want[0], *np.moveaxis(want[1], -1, 0), want[2]), columns))
+
+
+def test_band_queries_keep_the_bits_of_the_whole_table(tmp_path, rotated_room):
+    # Poses offset 0-1 m from the map put queries in the band, out of it and
+    # off the volume. A grid fitting its band, a loaded one, and one given a
+    # stale table (rows that are not the fit of their nodes) all answer as
+    # today's gather from the whole table did, bit for bit.
+    cloud, grid = rotated_room
+    spec = grid.spec
+    table = fit_cell_coeffs(grid.node_distances, spec.resolution)
+    assert _same_bits(table, _fit_by_hand(grid.node_distances, spec.resolution))
+    rng = np.random.default_rng(31)
+    surface = cloud.points[rng.choice(len(cloud), 2000, replace=False)]
+    scans = []
+    for k, offset in enumerate((0.0, 0.05, 0.15, 0.3, 0.6, 1.0)):
+        direction = rng.normal(size=3)
+        t = offset * direction / np.linalg.norm(direction)
+        scans.append(apply_pose(Pose4(*t, 0.01 * k), surface) + rng.normal(0.0, 0.02, surface.shape))
+    pts = np.concatenate(scans)
+    cell, inside = _cells(spec, pts)
+    slots, _ = grid.band
+    in_band = slots.reshape(grid.node_distances.shape)[cell[:, 0], cell[:, 1], cell[:, 2]] >= 0
+    kinds = (in_band & inside, ~in_band & inside, ~inside)
+    assert kinds[0].sum() > 1000 and kinds[1].sum() > 1000 and kinds[2].sum() > 100
+    singles = [pts[np.flatnonzero(m)[j]] for m in kinds for j in range(5)]
+
+    # One ulp off in one coefficient of 40 queried cells in the band and 40 outside it.
+    stale = table.copy()
+    for m in kinds[:2]:
+        cells = np.unique(cell[m], axis=0)
+        for n, (i, j, k) in enumerate(cells[rng.choice(len(cells), 40, replace=False)]):
+            stale[i, j, k, n % 8] = np.nextafter(stale[i, j, k, n % 8], math.inf)
+    stale_grid = DfGrid(spec, grid.node_distances, stale)
+    assert len(stale_grid.band[1]) == len(grid.band[1]) + 40  # the band, and the stale rows outside it
+    save_grid(grid, tmp_path / "fit.df")
+    save_grid(stale_grid, tmp_path / "stale.df")
+    cases = [("fitted", grid, table), ("loaded", load_grid(tmp_path / "fit.df"), table),
+             ("stale", stale_grid, stale), ("stale, loaded", load_grid(tmp_path / "stale.df"), stale)]
+    for case, g, want in cases:
+        far = np.array([spec.origin - 1e3, spec.upper + 1e3, spec.origin + [-1e3, 0.0, 1e3]])
+        for scan in scans + singles + [far, np.empty((0, 3))]:
+            _assert_queries_keep_the_bits(g, want, scan)
+        assert _same_bits(g.coeffs, want), case
+
+
+def test_load_keeps_the_band_not_the_table(tmp_path):
+    # A 0.1 m grid of a 10 m room, the tracking benchmark's geometry. The loader
+    # holds the nodes, one slot per node, the band's rows and one slab of the
+    # table at a time, never the whole table.
+    scene = synth.make_scene("box_room", 10.0, 30.0, seed=3)
+    spec = plan_grid(scene.map, 0.1, margin=1.0)
+    path = tmp_path / "grid.df"
+    save_grid(build_grid(scene.map, spec), path)
+    tracemalloc.start()
+    try:
+        grid = load_grid(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    cells = spec.nx * spec.ny * spec.nz
+    table = 64 * cells
+    assert len(grid.band[1]) <= 0.3 * cells
+    assert peak < table / 2, f"peak {peak / 1e6:.1f} MB for a {table / 1e6:.1f} MB table"
 
 
 def test_save_load_round_trip(tmp_path, small_grid):
