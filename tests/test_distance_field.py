@@ -4,6 +4,7 @@ import sys
 import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -644,6 +645,22 @@ def test_load_reads_no_more_than_the_header_implies(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20, f"peak {peak / 2**20:.1f} MiB"
+
+
+@pytest.mark.parametrize("cut", ["nodes", "table"])
+def test_load_refuses_a_file_that_shrinks_while_it_is_read(monkeypatch, tmp_path, small_grid, cut):
+    # The size check sees the size the file had; the payload then runs short,
+    # in the node lattice or in the table's last slab.
+    path = tmp_path / "grid.df"
+    save_grid(small_grid, path)
+    size = path.stat().st_size
+    header = len(GRID_MAGIC) + struct.calcsize("<I3ddd3Q")
+    keep = header + 64 if cut == "nodes" else size - 16
+    with open(path, "r+b") as fh:
+        fh.truncate(keep)
+    monkeypatch.setattr(distance_field.os, "fstat", lambda fd: SimpleNamespace(st_size=size))
+    with pytest.raises(GridTruncatedError, match=f"payload is {keep - header} bytes"):
+        load_grid(path)
 
 
 def test_load_refuses_a_payload_larger_than_the_file(tmp_path):
