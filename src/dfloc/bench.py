@@ -22,7 +22,7 @@ import numpy as np
 
 from .distance_field import DfGrid
 from .evaluation import BenchRow, rmse_translation, rmse_yaw
-from .formats import RunConfig, TrajectoryRow, ground_truth_rows
+from .formats import TrajectoryRow, ground_truth_rows
 from .geometry import PointCloud, Pose4
 from .nnsearch import KdTree3
 from .registration import RegistrationResult, dll_register, icp_register
@@ -72,13 +72,14 @@ def run_tracking(
     mode: str,
     grid: DfGrid | None = None,
     map_index: KdTree3 | None = None,
-    cfg: RunConfig = RunConfig(),
+    *,
+    seed: int,
 ) -> TrackingRun:
     """Track every frame of a scenario; returns estimates, timings, divergence.
 
     The tracker starts from the true initial pose. ``grid`` is required
-    for the field method, ``map_index`` for the ICP baseline. Of ``cfg``
-    only the seed is read: it seeds the mode's odometry noise.
+    for the field method, ``map_index`` for the ICP baseline. ``seed``
+    seeds the mode's odometry noise.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method '{method}' (expected one of {METHODS})")
@@ -98,7 +99,7 @@ def run_tracking(
     times: list[float] = []
     divergence_step: int | None = None
     state = init_tracker(scenario.ground_truth[0])
-    for k, frame in enumerate(mode_frames(scenario, mode, cfg.seed)):
+    for k, frame in enumerate(mode_frames(scenario, mode, seed)):
         try:
             state = advance(state, frame, register)
         except TrackStepError:
@@ -125,12 +126,10 @@ def bench_row(run: TrackingRun, scenario: ScenarioRun) -> BenchRow:
     return BenchRow(run.method, run.mode, rt, rt_dev, ra, ra_dev, dt_mean, dt_dev, False)
 
 
-def run_benchmark(
-    scenario: ScenarioRun, grid: DfGrid, map_index: KdTree3, cfg: RunConfig = RunConfig()
-) -> list[BenchRow]:
-    """Run every method under every odometry mode, seeded by ``cfg``, and summarize each."""
+def run_benchmark(scenario: ScenarioRun, grid: DfGrid, map_index: KdTree3, seed: int) -> list[BenchRow]:
+    """Run every method under every odometry mode, the noisy ones seeded by ``seed``, and summarize each."""
     return [
-        bench_row(run_tracking(scenario, method, mode, grid, map_index, cfg), scenario)
+        bench_row(run_tracking(scenario, method, mode, grid, map_index, seed=seed), scenario)
         for method in METHODS
         for mode in MODES
     ]

@@ -2,8 +2,11 @@
 
 Commands: build-df, simulate, localize, benchmark, eval. Each validates
 its inputs up front and exits nonzero with a diagnostic naming the
-failing stage. All randomness is governed by --seed (or the config's
-seed). Set DFLOC_LOG=debug|info|warning for log verbosity.
+failing stage. Only simulate reads a run configuration (--config);
+localize and benchmark take --seed, which seeds their noisy odometry
+modes, with the config seed key's default and constraint. All randomness
+is governed by the seed. Set DFLOC_LOG=debug|info|warning for log
+verbosity.
 """
 
 from __future__ import annotations
@@ -43,9 +46,10 @@ def _stage(name: str, fn, *args, **kwargs):
         raise StageError(name, exc) from exc
 
 
-def _load_config(args) -> formats.RunConfig:
-    cfg = formats.RunConfig() if args.config is None else _stage("load-config", formats.load_config, args.config)
-    return cfg if args.seed is None else _stage("load-config", replace, cfg, seed=args.seed)
+def _load_config(path, seed) -> formats.RunConfig:
+    """The configuration at ``path`` (the defaults when None), its seed replaced by ``seed`` unless None."""
+    cfg = formats.RunConfig() if path is None else _stage("load-config", formats.load_config, path)
+    return cfg if seed is None else _stage("load-config", replace, cfg, seed=seed)
 
 
 def _read_grid(path, scenario):
@@ -80,17 +84,10 @@ def cmd_build_df(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    cfg = _load_config(args)
-    scene = _stage("make-scene", make_scene, cfg.sim.scene_kind, cfg.sim.extent, cfg.sim.density, cfg.seed)
+    cfg = _load_config(args.config, args.seed)
+    scene = _stage("make-scene", make_scene, cfg.scene_kind, cfg.extent, cfg.density, cfg.seed)
     scenario = _stage(
-        "make-scenario",
-        make_scenario,
-        scene,
-        cfg.sim.steps,
-        cfg.sim.step_length,
-        cfg.sim.scan,
-        cfg.noise,
-        cfg.seed,
+        "make-scenario", make_scenario, scene, cfg.steps, cfg.step_length, cfg.scan, cfg.noise, cfg.seed
     )
     _stage("write-scenario", formats.save_scenario, scenario, args.out)
     print(f"wrote scenario with {len(scenario.frames)} frames to {args.out}")
@@ -98,14 +95,14 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_localize(args) -> int:
-    cfg = _load_config(args)
+    seed = _load_config(None, args.seed).seed
     scenario = _stage("read-scenario", formats.load_scenario, args.scenario)
     grid = map_index = None
     if args.method == "icp":
         map_index = _stage("build-map-index", build_index, scenario.map)
     elif args.grid is not None:
         grid = _read_grid(args.grid, scenario)
-    run = _stage("track", bench.run_tracking, scenario, args.method, args.mode, grid, map_index, cfg)
+    run = _stage("track", bench.run_tracking, scenario, args.method, args.mode, grid, map_index, seed=seed)
     _stage("write-trajectory", formats.write_trajectory, run.rows, args.out)
     if args.timing_out:
         _stage("write-timing", formats.write_step_times, run.step_times, args.timing_out)
@@ -116,11 +113,11 @@ def cmd_localize(args) -> int:
 
 
 def cmd_benchmark(args) -> int:
-    cfg = _load_config(args)
+    seed = _load_config(None, args.seed).seed
     scenario = _stage("read-scenario", formats.load_scenario, args.scenario)
     grid = _read_grid(args.grid, scenario)
     map_index = _stage("build-map-index", build_index, scenario.map)
-    rows = _stage("benchmark", bench.run_benchmark, scenario, grid, map_index, cfg)
+    rows = _stage("benchmark", bench.run_benchmark, scenario, grid, map_index, seed)
     _stage("write-report", evaluation.write_report, rows, args.out)
     timing_out = args.timing_out or (str(Path(args.out).with_suffix("")) + "_timing.csv")
     _stage("write-timing", evaluation.write_timing, rows, timing_out)
@@ -150,6 +147,9 @@ def cmd_eval(args) -> int:
     return 0
 
 
+SEED_HELP = f"seed of the noisy odometry modes (default {formats.RunConfig.seed})"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="dfloc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -175,8 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", required=True, help="scenario directory")
     p.add_argument("--method", choices=bench.METHODS, default="dll")
     p.add_argument("--mode", choices=bench.MODES, default="baseline")
-    p.add_argument("--config", help="key=value run configuration")
-    p.add_argument("--seed", type=int, help="override the config seed")
+    p.add_argument("--seed", type=int, help=SEED_HELP)
     p.add_argument("--out", required=True, help="output trajectory CSV")
     p.add_argument("--timing-out", help="optional per-step timing CSV")
     p.set_defaults(fn=cmd_localize)
@@ -184,8 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("benchmark", help="run all methods x modes and write report CSVs")
     p.add_argument("--grid", required=True)
     p.add_argument("--scenario", required=True)
-    p.add_argument("--config", help="key=value run configuration")
-    p.add_argument("--seed", type=int, help="override the config seed")
+    p.add_argument("--seed", type=int, help=SEED_HELP)
     p.add_argument("--out", required=True, help="output report CSV (deterministic)")
     p.add_argument("--timing-out", help="timing CSV (defaults to <out>_timing.csv)")
     p.set_defaults(fn=cmd_benchmark)
@@ -199,8 +197,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    level = os.environ.get("DFLOC_LOG", "warning").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING), format="%(levelname)s %(message)s")
+    # A name that is no level, even a module attribute such as BASIC_FORMAT, gets "Level NAME" back.
+    level = logging.getLevelName(os.environ.get("DFLOC_LOG", "warning").upper())
+    level = level if isinstance(level, int) else logging.WARNING
+    logging.basicConfig(level=level, format="%(levelname)s %(message)s")
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)

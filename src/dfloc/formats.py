@@ -219,15 +219,21 @@ def read_step_times(path) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class SimOptions:
-    """Scene / trajectory / scan generation parameters for `simulate`."""
+class RunConfig:
+    """Settings of `simulate`: odometry noise, scan model, scene, trajectory, seed.
 
+    localize and benchmark take only the seed, as their --seed flag, with
+    this field's default and check. Grid settings are build-df flags.
+    """
+
+    noise: NoiseSetup = field(default_factory=NoiseSetup)
+    scan: ScanModel = field(default_factory=ScanModel)
     scene_kind: str = "box_room"
     extent: float = 10.0
     density: float = 100.0
     steps: int = 100
     step_length: float = 0.15
-    scan: ScanModel = field(default_factory=ScanModel)
+    seed: int = 0
 
     def __post_init__(self):
         if self.scene_kind not in SCENE_KINDS:
@@ -237,36 +243,25 @@ class SimOptions:
                 raise ValueError(f"{name} must be positive and finite")
         if self.steps < 2:
             raise ValueError("steps must be at least 2")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Settings read by simulate; localize and benchmark read only ``seed``.
-    Grid settings are build-df flags."""
-
-    noise: NoiseSetup = field(default_factory=NoiseSetup)
-    sim: SimOptions = field(default_factory=SimOptions)
-    seed: int = 0
-
-    def __post_init__(self):
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 # Config key -> attribute path in RunConfig. Defaults and constraints live
-# on the option dataclasses; a value is parsed by the type of its default.
+# on RunConfig and the option dataclasses it holds; a value is parsed by the
+# type of its default.
 CONFIG_KEYS = {
     "noise.sigma_t": "noise.sigma_t",
     "noise.sigma_yaw": "noise.sigma_yaw",
-    "scene.kind": "sim.scene_kind",
-    "scene.extent": "sim.extent",
-    "scene.density": "sim.density",
-    "trajectory.steps": "sim.steps",
-    "trajectory.step_length": "sim.step_length",
-    "scan.points": "sim.scan.points",
-    "scan.max_range": "sim.scan.max_range",
-    "scan.noise_sigma": "sim.scan.noise_sigma",
-    "scan.outlier_fraction": "sim.scan.outlier_fraction",
+    "scene.kind": "scene_kind",
+    "scene.extent": "extent",
+    "scene.density": "density",
+    "trajectory.steps": "steps",
+    "trajectory.step_length": "step_length",
+    "scan.points": "scan.points",
+    "scan.max_range": "scan.max_range",
+    "scan.noise_sigma": "scan.noise_sigma",
+    "scan.outlier_fraction": "scan.outlier_fraction",
     "seed": "seed",
 }
 

@@ -32,7 +32,6 @@ from dfloc.formats import (
     CloudValueError,
     ConfigError,
     EmptyCloudError,
-    RunConfig,
     TrajectoryFormatError,
     TrajectoryRow,
     config_from_dict,
@@ -215,7 +214,7 @@ def test_criterion_5_outlier_robustness(room_scene, room_grid):
 def test_criterion_6_tracking_modes(room_scene, room_grid, room_index, tracking_scenario):
     rows = {}
     for mode in bench.MODES:
-        run = bench.run_tracking(tracking_scenario, "dll", mode, grid=room_grid, cfg=RunConfig(seed=42))
+        run = bench.run_tracking(tracking_scenario, "dll", mode, grid=room_grid, seed=42)
         row = bench.bench_row(run, tracking_scenario)
         assert not row.diverged, f"dll diverged under {mode}"
         rows[mode] = row
@@ -229,7 +228,7 @@ def test_criterion_6_tracking_modes(room_scene, room_grid, room_index, tracking_
     # modes; record what happened without asserting it.
     icp_outcomes = {}
     for mode in ("midnoise", "largenoise"):
-        run = bench.run_tracking(tracking_scenario, "icp", mode, map_index=room_index, cfg=RunConfig(seed=42))
+        run = bench.run_tracking(tracking_scenario, "icp", mode, map_index=room_index, seed=42)
         icp_outcomes[mode] = "diverged" if run.diverged else "survived"
     detail = ", ".join(f"{m}={r[m]:.4f}" for m in bench.MODES)
     return f"rmse_t {detail}; icp {icp_outcomes}"
@@ -245,8 +244,8 @@ def test_criterion_7_relative_speed(room_scene):
     model = ScanModel(max_range=15.0, points=2000, noise_sigma=0.02)
     scenario = make_scenario(scene, steps=40, step_length=0.15, model=model,
                              noise=NoiseSetup(0.03, 0.008), seed=9)
-    run_dll = bench.run_tracking(scenario, "dll", "baseline", grid=grid, cfg=RunConfig(seed=9))
-    run_icp = bench.run_tracking(scenario, "icp", "baseline", map_index=index, cfg=RunConfig(seed=9))
+    run_dll = bench.run_tracking(scenario, "dll", "baseline", grid=grid, seed=9)
+    run_icp = bench.run_tracking(scenario, "icp", "baseline", map_index=index, seed=9)
     assert not run_dll.diverged and not run_icp.diverged
     dll_mean = run_dll.step_times.mean()
     icp_mean = run_icp.step_times.mean()
@@ -272,7 +271,7 @@ def test_criterion_8_benchmark_determinism(tmp_path):
         out = tmp_path / name
         assert cli_main([
             "benchmark", "--grid", str(tmp_path / "g.df"), "--scenario", str(tmp_path / "scn"),
-            "--config", str(cfg), "--seed", "5", "--out", str(out),
+            "--seed", "5", "--out", str(out),
         ]) == 0
         reports.append(out.read_bytes())
     assert reports[0] == reports[1]

@@ -1,10 +1,17 @@
+import os
+import re
+import shlex
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from dfloc.cli import main
+import dfloc
+from dfloc.cli import build_parser, main
 from dfloc.distance_field import load_grid
-from dfloc.formats import FRAMES_HEADER, TRAJECTORY_HEADER, read_trajectory
+from dfloc.formats import FRAMES_HEADER, TRAJECTORY_HEADER, load_config, read_trajectory
 
 TINY_CFG = """
 scene.extent = 6.0
@@ -28,21 +35,21 @@ def workspace(tmp_path_factory):
         "build-df", "--map", str(root / "scn" / "map.cld"),
         "--resolution", "0.2", "--margin", "1.0", "--out", str(root / "g.df"),
     ]) == 0
-    return root, cfg
+    return root
 
 
 def test_build_df_output_loads(workspace):
-    root, _ = workspace
+    root = workspace
     grid = load_grid(root / "g.df")
     assert grid.spec.resolution == 0.2
 
 
 def test_localize_writes_trajectory(workspace):
-    root, cfg = workspace
+    root = workspace
     out = root / "est.csv"
     code = main([
         "localize", "--grid", str(root / "g.df"), "--scenario", str(root / "scn"),
-        "--method", "dll", "--mode", "baseline", "--config", str(cfg),
+        "--method", "dll", "--mode", "baseline", "--seed", "7",
         "--out", str(out), "--timing-out", str(root / "times.csv"),
     ])
     assert code == 0
@@ -52,9 +59,8 @@ def test_localize_writes_trajectory(workspace):
 
 
 def test_localize_icp_needs_no_grid(workspace, tmp_path):
-    root, cfg = workspace
-    common = ["--scenario", str(root / "scn"), "--method", "icp", "--mode", "baseline",
-              "--config", str(cfg)]
+    root = workspace
+    common = ["--scenario", str(root / "scn"), "--method", "icp", "--mode", "baseline", "--seed", "7"]
     assert main(["localize", *common, "--out", str(tmp_path / "bare.csv")]) == 0
     assert main(["localize", "--grid", str(root / "g.df"), *common,
                  "--out", str(tmp_path / "with_grid.csv")]) == 0
@@ -63,10 +69,10 @@ def test_localize_icp_needs_no_grid(workspace, tmp_path):
 
 
 def test_localize_dll_without_grid_is_stage_error(workspace, tmp_path, capsys):
-    root, cfg = workspace
+    root = workspace
     code = main([
         "localize", "--scenario", str(root / "scn"), "--method", "dll", "--mode", "baseline",
-        "--config", str(cfg), "--out", str(tmp_path / "est.csv"),
+        "--seed", "7", "--out", str(tmp_path / "est.csv"),
     ])
     assert code == 2
     assert "error: track: the field method needs a distance-field grid" in capsys.readouterr().err
@@ -74,7 +80,7 @@ def test_localize_dll_without_grid_is_stage_error(workspace, tmp_path, capsys):
 
 
 def test_eval_reports_zero_for_ground_truth(workspace, capsys):
-    root, _ = workspace
+    root = workspace
     gt = root / "scn" / "ground_truth.csv"
     assert main(["eval", "--est", str(gt), "--gt", str(gt)]) == 0
     out = capsys.readouterr().out
@@ -83,7 +89,7 @@ def test_eval_reports_zero_for_ground_truth(workspace, capsys):
 
 
 def test_eval_on_estimates(workspace, capsys):
-    root, _ = workspace
+    root = workspace
     assert main(["eval", "--est", str(root / "est.csv"), "--gt", str(root / "scn" / "ground_truth.csv")]) == 0
     out = capsys.readouterr().out
     assert "rmse_t" in out and "rmse_a" in out
@@ -95,7 +101,7 @@ def test_eval_on_estimates(workspace, capsys):
     ids=["missing", "empty", "bad-header", "non-numeric", "extra-column", "non-finite", "old-step-column"],
 )
 def test_eval_bad_timing_is_stage_error(workspace, tmp_path, capsys, content):
-    root, _ = workspace
+    root = workspace
     gt = root / "scn" / "ground_truth.csv"
     timing = tmp_path / "times.csv"
     if content is not None:
@@ -105,7 +111,7 @@ def test_eval_bad_timing_is_stage_error(workspace, tmp_path, capsys, content):
 
 
 def test_eval_reads_timing(workspace, tmp_path, capsys):
-    root, _ = workspace
+    root = workspace
     gt = root / "scn" / "ground_truth.csv"
     timing = tmp_path / "times.csv"
     timing.write_text("dt\n0.1\n\n0.3\n")
@@ -115,14 +121,14 @@ def test_eval_reads_timing(workspace, tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["localize", "benchmark"])
 def test_bundle_without_frames_fails_in_read_scenario(workspace, tmp_path, capsys, command):
-    root, cfg = workspace
+    root = workspace
     bundle = tmp_path / "scn"
     shutil.copytree(root / "scn", bundle)
     (bundle / "ground_truth.csv").write_text(TRAJECTORY_HEADER + "\n")
     (bundle / "frames.csv").write_text(FRAMES_HEADER + "\n")
     code = main([
         command, "--grid", str(root / "g.df"), "--scenario", str(bundle),
-        "--config", str(cfg), "--out", str(tmp_path / "out.csv"),
+        "--seed", "7", "--out", str(tmp_path / "out.csv"),
     ])
     assert code == 2
     err = capsys.readouterr().err
@@ -131,12 +137,12 @@ def test_bundle_without_frames_fails_in_read_scenario(workspace, tmp_path, capsy
 
 
 def test_benchmark_deterministic_bytes(workspace):
-    root, cfg = workspace
+    root = workspace
     a, b = root / "rep_a.csv", root / "rep_b.csv"
     for out in (a, b):
         code = main([
             "benchmark", "--grid", str(root / "g.df"), "--scenario", str(root / "scn"),
-            "--config", str(cfg), "--seed", "3", "--out", str(out),
+            "--seed", "3", "--out", str(out),
         ])
         assert code == 0
     assert a.read_bytes() == b.read_bytes()
@@ -162,10 +168,10 @@ def test_bad_config_is_stage_error(tmp_path, capsys):
 
 
 def test_negative_seed_is_refused_at_load_config(workspace, tmp_path, capsys):
-    root, cfg = workspace
+    root = workspace
     code = main([
         "localize", "--grid", str(root / "g.df"), "--scenario", str(root / "scn"),
-        "--mode", "midnoise", "--config", str(cfg), "--seed", "-1", "--out", str(tmp_path / "est.csv"),
+        "--mode", "midnoise", "--seed", "-1", "--out", str(tmp_path / "est.csv"),
     ])
     assert code == 2
     assert "error: load-config: " in capsys.readouterr().err
@@ -196,7 +202,7 @@ def test_shipped_example_config_end_to_end(tmp_path):
     ]) == 0
     assert main([
         "localize", "--grid", str(tmp_path / "g.df"), "--scenario", str(tmp_path / "scn"),
-        "--method", "dll", "--mode", "baseline", "--config", str(cfg),
+        "--method", "dll", "--mode", "baseline", "--seed", str(load_config(cfg).seed),
         "--out", str(tmp_path / "est.csv"),
     ]) == 0
     assert len(read_trajectory(tmp_path / "est.csv")) == 5
@@ -205,7 +211,7 @@ def test_shipped_example_config_end_to_end(tmp_path):
 def test_volume_mismatch_warns(workspace, tmp_path, caplog):
     import logging
 
-    root, cfg = workspace
+    root = workspace
     # grid built over a clipped sub-volume of the scenario's map
     sub = tmp_path / "small.df"
     from dfloc.formats import read_cloud, write_cloud
@@ -221,7 +227,7 @@ def test_volume_mismatch_warns(workspace, tmp_path, caplog):
     with caplog.at_level(logging.WARNING, logger="dfloc"):
         main([
             "localize", "--grid", str(sub), "--scenario", str(root / "scn"),
-            "--method", "dll", "--mode", "baseline", "--config", str(cfg),
+            "--method", "dll", "--mode", "baseline", "--seed", "7",
             "--out", str(tmp_path / "est.csv"),
         ])
     assert any("not fully covered" in r.message for r in caplog.records)
@@ -245,6 +251,46 @@ def test_grid_built_from_the_scenario_map_does_not_warn(tmp_path, caplog):
     with caplog.at_level(logging.WARNING, logger="dfloc"):
         assert main([
             "localize", "--grid", str(tmp_path / "g.df"), "--scenario", str(tmp_path / "scn"),
-            "--config", str(cfg), "--out", str(tmp_path / "est.csv"),
+            "--seed", "3", "--out", str(tmp_path / "est.csv"),
         ]) == 0
     assert not any("not fully covered" in r.message for r in caplog.records)
+
+
+@pytest.mark.parametrize("name", ["basic_format", "no_such_level"])
+def test_log_variable_that_names_no_level_falls_back_to_warning(workspace, name):
+    # logging.BASIC_FORMAT is a module attribute but a format string, not a
+    # level. Run in a subprocess: under pytest the root logger already has
+    # handlers, so basicConfig would never check the level.
+    root = workspace
+    gt = root / "scn" / "ground_truth.csv"
+    src = str(Path(dfloc.__file__).resolve().parents[1])
+    env = {**os.environ, "DFLOC_LOG": name,
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-m", "dfloc.cli", "eval", "--est", str(gt), "--gt", str(gt)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert "rmse_t = 0.000000" in proc.stdout
+
+
+def _readme_commands() -> list[list[str]]:
+    """The arguments of each ``dfloc`` command in README's bash blocks, continuation lines joined."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    commands = []
+    for block in re.findall(r"```bash\n(.*?)```", readme, flags=re.DOTALL):
+        for line in block.replace("\\\n", " ").splitlines():
+            words = shlex.split(line, comments=True)
+            if words[:1] == ["dfloc"]:
+                commands.append(words[1:])
+    return commands
+
+
+def test_readme_command_lines_parse():
+    commands = _readme_commands()
+    assert sorted(c[0] for c in commands) == ["benchmark", "build-df", "eval", "localize", "simulate"]
+    parser = build_parser()
+    for words in commands:
+        try:
+            parser.parse_args(words)
+        except SystemExit:
+            pytest.fail(f"README's 'dfloc {shlex.join(words)}' does not parse")

@@ -420,6 +420,18 @@ def rotated_room():
     return cloud, build_grid(cloud, plan_grid(cloud, 0.1, margin=0.3))
 
 
+def test_build_is_exact_on_walls_across_the_lattice_axes(rotated_room):
+    # The Voronoi-segment fill does least where walls run along lattice axes,
+    # as in every other build test map; here they run at 30 degrees. The
+    # oracle checks a seeded sample: all 293 k nodes would take seconds.
+    cloud, grid = rotated_room
+    spec = grid.spec
+    assert _same_bits(grid.node_distances, _lattice_by_every_node(cloud, spec))
+    sample = np.random.default_rng(11).choice(grid.node_distances.size, 5000, replace=False)
+    oracle = brute_force_distances(cloud, spec.node_coordinates()[sample])
+    assert _same_bits(grid.node_distances.ravel()[sample], oracle)
+
+
 def _fit_by_hand(nodes, res):
     """The closed-form fit with every coefficient written out, additions in their order."""
     d = nodes

@@ -174,13 +174,13 @@ def test_trajectory_refuses_the_old_layout(tmp_path):
 
 def test_config_defaults_from_empty():
     cfg = config_from_dict({})
-    assert cfg.sim.extent == 10.0  # desk-scale scene default
+    assert cfg.extent == 10.0  # desk-scale scene default
     assert cfg.seed == 0
 
 
 def test_config_override():
     cfg = config_from_dict({"scene.extent": "12.5"})
-    assert cfg.sim.extent == 12.5
+    assert cfg.extent == 12.5
 
 
 @pytest.mark.parametrize("key", ["map", "grid.resolution", "grid.margin", "icp.outlier_rejection_threshold",
@@ -319,7 +319,7 @@ def test_config_file_parsing(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("# comment\nscene.extent = 20.0\nseed = 9\n\nnoise.sigma_t = 0.25\n")
     cfg = load_config(path)
-    assert cfg.sim.extent == 20.0
+    assert cfg.extent == 20.0
     assert cfg.seed == 9
     assert cfg.noise.sigma_t == 0.25
 

@@ -12,7 +12,7 @@ import pytest
 from dfloc import bench
 from dfloc.distance_field import GridSpec, build_grid, plan_grid, query_many
 from dfloc.evaluation import rmse_translation
-from dfloc.formats import RunConfig, ground_truth_rows
+from dfloc.formats import ground_truth_rows
 from dfloc.geometry import Frame, PointCloud
 from dfloc.nnsearch import build_index
 from dfloc.synth import NoiseSetup, ScanModel, make_scenario, make_scene
@@ -51,7 +51,7 @@ def sparse_room():
     model = ScanModel(max_range=15.0, points=2000, noise_sigma=0.02)
     scenario = make_scenario(scene, steps=40, step_length=0.15, model=model,
                              noise=NoiseSetup(0.03, 0.008), seed=9)
-    icp = bench.run_tracking(scenario, "icp", "baseline", map_index=build_index(scene.map), cfg=RunConfig(seed=9))
+    icp = bench.run_tracking(scenario, "icp", "baseline", map_index=build_index(scene.map), seed=9)
     assert not icp.diverged
     return scenario, rmse_translation(icp.rows, ground_truth_rows(scenario))[0]
 
@@ -70,7 +70,7 @@ def test_dll_tracks_within_3x_icp_wherever_the_walls_fall_in_a_cell(sparse_room,
     # puts every one of them F cells above a node plane (F = 0: on it).
     scenario, icp_rmse = sparse_room
     grid = build_grid(scenario.map, plan_grid(scenario.map, RES, margin=1.0 + cell_offset * RES))
-    dll = bench.run_tracking(scenario, "dll", "baseline", grid=grid, cfg=RunConfig(seed=9))
+    dll = bench.run_tracking(scenario, "dll", "baseline", grid=grid, seed=9)
     assert not dll.diverged
     dll_rmse = rmse_translation(dll.rows, ground_truth_rows(scenario))[0]
     assert dll_rmse <= 3.0 * icp_rmse, f"dll {dll_rmse * 1e3:.2f} mm vs icp {icp_rmse * 1e3:.2f} mm"

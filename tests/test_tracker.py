@@ -3,7 +3,6 @@ import pytest
 
 from dfloc import bench, tracker
 from dfloc.distance_field import DfGrid
-from dfloc.formats import RunConfig
 from dfloc.geometry import Attitude, Frame, PointCloud, Pose4, compose, tilt_compensate
 from dfloc.nnsearch import build_index
 from dfloc.registration import icp_register
@@ -162,9 +161,7 @@ def test_largenoise_tracking_keeps_the_scan_on_the_map(small_grid, largenoise_sc
     # pushing the scan out of the grid. On this scenario that made seed 1
     # diverge at step 39 (a fine solve "converged" at tz = -1.26 m, below
     # the grid) and left seeds 2-5 at rmse_t 0.13-0.26 m instead of 0.0016 m.
-    run = bench.run_tracking(
-        largenoise_scenario, "dll", "largenoise", grid=small_grid, cfg=RunConfig(seed=seed)
-    )
+    run = bench.run_tracking(largenoise_scenario, "dll", "largenoise", grid=small_grid, seed=seed)
     row = bench.bench_row(run, largenoise_scenario)
     assert not run.diverged, f"diverged at step {run.divergence_step}"
     assert row.rmse_t < 0.005
@@ -185,7 +182,7 @@ def test_dll_tracking_stays_within_an_evaluation_budget(monkeypatch, small_grid,
 
     monkeypatch.setattr(bench, "dll_register", spy)
     for mode in bench.MODES:
-        run = bench.run_tracking(largenoise_scenario, "dll", mode, grid=small_grid, cfg=RunConfig(seed=0))
+        run = bench.run_tracking(largenoise_scenario, "dll", mode, grid=small_grid, seed=0)
         assert not run.diverged, f"{mode} diverged at step {run.divergence_step}"
     assert np.mean(evaluations) <= 17.0, f"{np.mean(evaluations):.2f} evaluations per scan"
 
@@ -204,6 +201,6 @@ def test_dll_tracking_fits_the_table_before_timing(monkeypatch, small_grid, larg
         return real(body, grid_arg, *args, **kwargs)
 
     monkeypatch.setattr(bench, "dll_register", spy)
-    bench.run_tracking(largenoise_scenario, "dll", "baseline", grid=grid, cfg=RunConfig(seed=0))
+    bench.run_tracking(largenoise_scenario, "dll", "baseline", grid=grid, seed=0)
     assert fitted and all(fitted)
     assert "coeffs" not in grid.__dict__
