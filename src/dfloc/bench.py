@@ -12,18 +12,23 @@ A run is flagged diverged when a step fails outright or lands more than
 DIVERGENCE_RADIUS from ground truth.
 Per-scan times are taken strictly around the registration call; the
 offline grid / index build is never included.
+
+A completed run is scored by RMSE, reported separately for translation
+(meters) and yaw (radians, wrap-corrected), each with the standard
+deviation of the per-step errors, matching the layout of the
+localization benchmark tables.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .distance_field import DfGrid
-from .evaluation import BenchRow, rmse_translation, rmse_yaw
 from .formats import TrajectoryRow, ground_truth_rows
-from .geometry import PointCloud, Pose4
+from .geometry import PointCloud, Pose4, wrap_angle
 from .nnsearch import KdTree3
 from .registration import RegistrationResult, dll_register, icp_register
 from .synth import NoiseSetup, ScenarioRun, corrupt_odometry
@@ -114,16 +119,61 @@ def run_tracking(
     return TrackingRun(method, mode, rows, np.array(times), divergence_step)
 
 
+def trajectory_rmse(est, gt) -> tuple[float, float, float, float]:
+    """RMSE and per-step deviation of the Euclidean translation error, then of the wrap-corrected yaw error.
+
+    ``est`` and ``gt`` are trajectory rows of the same length and timestamps.
+    """
+    if len(est) != len(gt):
+        raise ValueError(f"trajectory length mismatch: {len(est)} estimates vs {len(gt)} references")
+    if len(est) == 0:
+        raise ValueError("cannot evaluate empty trajectories")
+    e = np.array([[r.timestamp, *r.pose.as_array()] for r in est])
+    g = np.array([[r.timestamp, *r.pose.as_array()] for r in gt])
+    if np.abs(e[:, 0] - g[:, 0]).max() > 1e-9:
+        raise ValueError("trajectory timestamps do not match")
+    err_t = np.sqrt(((e[:, 1:4] - g[:, 1:4]) ** 2).sum(axis=1))
+    err_a = np.abs(wrap_angle(e[:, 4] - g[:, 4]))
+    return (
+        float(np.sqrt((err_t**2).mean())), float(err_t.std()),
+        float(np.sqrt((err_a**2).mean())), float(err_a.std()),
+    )
+
+
+@dataclass(frozen=True)
+class BenchRow:
+    """One benchmark table entry. The four rmse fields are None when the run
+    diverged (the report CSV leaves those cells empty); the timing fields
+    still summarize the steps that ran, and are None only when none did."""
+
+    method: str
+    mode: str
+    rmse_t: float | None
+    rmse_t_dev: float | None
+    rmse_a: float | None
+    rmse_a_dev: float | None
+    dt_mean: float | None
+    dt_dev: float | None
+    diverged: bool
+
+    def __post_init__(self):
+        metrics = (self.rmse_t, self.rmse_t_dev, self.rmse_a, self.rmse_a_dev)
+        if self.diverged:
+            if any(v is not None for v in metrics):
+                raise ValueError("diverged rows must not carry rmse values")
+        else:
+            if any(v is None or v < 0.0 or not math.isfinite(v) for v in metrics):
+                raise ValueError("completed rows need finite non-negative rmse values")
+
+
 def bench_row(run: TrackingRun, scenario: ScenarioRun) -> BenchRow:
     """Summarize a tracking run against the scenario's ground truth."""
     dt_mean = float(run.step_times.mean()) if run.step_times.size else None
     dt_dev = float(run.step_times.std()) if run.step_times.size else None
     if run.diverged:
         return BenchRow(run.method, run.mode, None, None, None, None, dt_mean, dt_dev, True)
-    gt = ground_truth_rows(scenario)
-    rt, rt_dev = rmse_translation(run.rows, gt)
-    ra, ra_dev = rmse_yaw(run.rows, gt)
-    return BenchRow(run.method, run.mode, rt, rt_dev, ra, ra_dev, dt_mean, dt_dev, False)
+    metrics = trajectory_rmse(run.rows, ground_truth_rows(scenario))
+    return BenchRow(run.method, run.mode, *metrics, dt_mean, dt_dev, False)
 
 
 def run_benchmark(scenario: ScenarioRun, grid: DfGrid, map_index: KdTree3, seed: int) -> list[BenchRow]:

@@ -20,7 +20,7 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
-from . import bench, evaluation, formats
+from . import bench, formats
 from .distance_field import build_grid, load_grid, plan_grid, save_grid
 from .geometry import Frame
 from .nnsearch import build_index
@@ -118,9 +118,9 @@ def cmd_benchmark(args) -> int:
     grid = _read_grid(args.grid, scenario)
     map_index = _stage("build-map-index", build_index, scenario.map)
     rows = _stage("benchmark", bench.run_benchmark, scenario, grid, map_index, seed)
-    _stage("write-report", evaluation.write_report, rows, args.out)
+    _stage("write-report", formats.write_report, rows, args.out)
     timing_out = args.timing_out or (str(Path(args.out).with_suffix("")) + "_timing.csv")
-    _stage("write-timing", evaluation.write_timing, rows, timing_out)
+    _stage("write-timing", formats.write_timing, rows, timing_out)
     for r in rows:
         if r.diverged:
             print(f"{r.method:4s} {r.mode:11s} diverged")
@@ -136,8 +136,7 @@ def cmd_benchmark(args) -> int:
 def cmd_eval(args) -> int:
     est = _stage("read-estimates", formats.read_trajectory, args.est)
     gt = _stage("read-ground-truth", formats.read_trajectory, args.gt)
-    rt, rt_dev = _stage("evaluate", evaluation.rmse_translation, est, gt)
-    ra, ra_dev = _stage("evaluate", evaluation.rmse_yaw, est, gt)
+    rt, rt_dev, ra, ra_dev = _stage("evaluate", bench.trajectory_rmse, est, gt)
     print(f"rmse_t = {rt:.6f} m (dev {rt_dev:.6f})")
     print(f"rmse_a = {ra:.6f} rad (dev {ra_dev:.6f})")
     if args.timing:

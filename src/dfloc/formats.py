@@ -1,10 +1,11 @@
-"""File formats: point clouds, CSV files, run configuration, scenario bundles.
+"""File formats: point clouds, CSV files, run configuration, scenario bundles, benchmark reports.
 
 All layouts are documented byte-for-byte in FORMATS.md. Loads are
 all-or-nothing: a malformed input raises before any partially built
-object escapes. Text files are strict UTF-8, and every CSV file goes
-through read_csv and write_csv. Distance-field grid persistence lives in
-``distance_field`` (save_grid / load_grid).
+object escapes. Text files are strict UTF-8, less one leading byte-order
+mark, and every CSV file goes through read_csv and write_csv.
+Distance-field grid persistence lives in ``distance_field`` (save_grid /
+load_grid).
 """
 
 from __future__ import annotations
@@ -53,9 +54,9 @@ class ScenarioFormatError(ValueError):
 
 
 def _read_text(path, error: type[ValueError]) -> str:
-    """A text file's content; bytes that are not UTF-8 raise ``error``."""
+    """A text file's content without one leading byte-order mark; bytes that are not UTF-8 raise ``error``."""
     try:
-        return Path(path).read_bytes().decode("utf-8")
+        return Path(path).read_bytes().decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not UTF-8 text: {exc}") from exc
 
@@ -181,6 +182,11 @@ def _digits12(*values: float) -> list[str]:
     return [f"{v:.12g}" for v in values]
 
 
+def _digits9(*values: float | None) -> list[str]:
+    """Cells of 9 significant digits; None leaves its cell empty."""
+    return ["" if v is None else f"{v:.9g}" for v in values]
+
+
 def write_trajectory(rows, path) -> None:
     """Write trajectory rows as CSV; values round-trip to better than 1e-9."""
     write_csv(path, TRAJECTORY_HEADER, (_digits12(r.timestamp, *r.pose.as_array()) for r in rows))
@@ -200,7 +206,7 @@ STEP_TIMES_HEADER = "dt"
 
 def write_step_times(times, path) -> None:
     """Write per-step wall-clock times, one ``dt`` row per step: row k is step k."""
-    write_csv(path, STEP_TIMES_HEADER, ([f"{dt:.9g}"] for dt in times))
+    write_csv(path, STEP_TIMES_HEADER, (_digits9(dt) for dt in times))
 
 
 def _step_time(fields: list[str]) -> float:
@@ -213,6 +219,28 @@ def _step_time(fields: list[str]) -> float:
 def read_step_times(path) -> np.ndarray:
     """The per-step times of a step-times file; every row needs a finite dt."""
     return np.array(read_csv(path, STEP_TIMES_HEADER, ValueError, _step_time))
+
+
+REPORT_HEADER = "method,mode,rmse_t,rmse_t_dev,rmse_a,rmse_a_dev,diverged"
+TIMING_HEADER = "method,mode,dt_mean,dt_dev"
+
+
+def write_report(rows, path) -> None:
+    """Write the deterministic benchmark report of ``bench.BenchRow`` rows (no wall-clock columns).
+
+    Timing is deliberately kept out of this file so that two runs with
+    the same seed produce byte-identical output; use write_timing for the
+    measured per-scan times.
+    """
+    write_csv(path, REPORT_HEADER, (
+        [r.method, r.mode, *_digits9(r.rmse_t, r.rmse_t_dev, r.rmse_a, r.rmse_a_dev), str(r.diverged).lower()]
+        for r in rows
+    ))
+
+
+def write_timing(rows, path) -> None:
+    """Write the per-scan timing companion table (wall-clock, not reproducible)."""
+    write_csv(path, TIMING_HEADER, ([r.method, r.mode, *_digits9(r.dt_mean, r.dt_dev)] for r in rows))
 
 
 # -- run configuration -------------------------------------------------------

@@ -129,17 +129,6 @@ class Pose4:
     def translation(self) -> np.ndarray:
         return np.array([self.tx, self.ty, self.tz])
 
-    def inverse(self) -> "Pose4":
-        """Pose g such that apply_pose(g, apply_pose(self, p)) == p."""
-        c, s = math.cos(self.yaw), math.sin(self.yaw)
-        # R_z(-yaw) @ -t
-        return Pose4(
-            -(c * self.tx + s * self.ty),
-            -(-s * self.tx + c * self.ty),
-            -self.tz,
-            -self.yaw,
-        )
-
 
 def rotate_z(yaw: float, p) -> np.ndarray:
     """Rotate point(s) about the z axis by ``yaw`` radians."""

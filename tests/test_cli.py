@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import dfloc
+from dfloc import registration
 from dfloc.cli import build_parser, main
 from dfloc.distance_field import load_grid
 from dfloc.formats import FRAMES_HEADER, TRAJECTORY_HEADER, load_config, read_trajectory
@@ -149,6 +150,23 @@ def test_benchmark_deterministic_bytes(workspace):
     lines = a.read_text().splitlines()
     assert lines[0].startswith("method,mode")
     assert len(lines) == 1 + 8  # 2 methods x 4 modes
+
+
+def test_diverged_icp_runs_are_reported(workspace, tmp_path, capsys, monkeypatch):
+    # No map point lies within 1e-12 m of a scan point, so ICP fails at step 0.
+    monkeypatch.setattr(registration, "ICP_MAX_CORRESPONDENCE_DISTANCE", 1e-12)
+    root = workspace
+    common = ["--grid", str(root / "g.df"), "--scenario", str(root / "scn"), "--seed", "7"]
+    assert main(["benchmark", *common, "--out", str(tmp_path / "rep.csv")]) == 0
+    out = capsys.readouterr().out
+    report = (tmp_path / "rep.csv").read_text().splitlines()
+    for mode in ("baseline", "noodom", "midnoise", "largenoise"):
+        assert f"icp  {mode:11s} diverged\n" in out
+        assert f"icp,{mode},,,,,true" in report
+    assert main(["localize", *common, "--method", "icp", "--out", str(tmp_path / "est.csv")]) == 0
+    captured = capsys.readouterr()
+    assert "warning: icp/baseline diverged at step 0" in captured.err
+    assert "wrote 0 estimates" in captured.out
 
 
 def test_missing_file_is_stage_error(tmp_path, capsys):

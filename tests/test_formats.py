@@ -8,12 +8,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dfloc.evaluation import REPORT_HEADER, TIMING_HEADER
 from dfloc.formats import (
     CLOUD_MAGIC,
     CONFIG_KEYS,
     FRAMES_HEADER,
+    REPORT_HEADER,
     STEP_TIMES_HEADER,
+    TIMING_HEADER,
     TRAJECTORY_HEADER,
     CloudFormatError,
     CloudParseError,
@@ -332,6 +333,25 @@ def test_keyvalue_syntax_error(tmp_path):
 def test_keyvalue_repeated_key_is_refused():
     with pytest.raises(ConfigError, match="line 3: key 'scene.extent'"):
         parse_keyvalues("scene.extent = 0.1\n# again\nscene.extent = 5\n", "<test>")
+
+
+@pytest.mark.parametrize(
+    "name, text, read, error",
+    [
+        ("run.cfg", "seed = 1\n", lambda p: load_config(p).seed, ConfigError),
+        ("traj.csv", "t,tx,ty,tz,yaw\n0,1,2,3,0.5\n", lambda p: read_trajectory(p)[0].pose.tx, TrajectoryFormatError),
+        ("cloud.xyz", "1 2 3\n", lambda p: read_cloud(p).points[0, 0], CloudParseError),
+    ],
+    ids=["config", "trajectory", "text-cloud"],
+)
+def test_one_leading_byte_order_mark_is_ignored(tmp_path, name, text, read, error):
+    plain, marked, twice = (tmp_path / f"{prefix}{name}" for prefix in ("", "bom-", "bom2-"))
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text("\ufeff" + text, encoding="utf-8")
+    twice.write_text("\ufeff\ufeff" + text, encoding="utf-8")
+    assert read(marked) == read(plain) == 1
+    with pytest.raises(error):
+        read(twice)
 
 
 def test_scenario_bundle_round_trip(tmp_path):

@@ -52,7 +52,7 @@ def test_apply_pose_inverse_round_trip():
     for _ in range(100):
         pose = Pose4(*rng.normal(scale=2.0, size=3), rng.uniform(-math.pi, math.pi))
         p = rng.normal(scale=5.0, size=3)
-        back = apply_pose(pose.inverse(), apply_pose(pose, p))
+        back = apply_pose(pose_delta(pose, Pose4.identity()), apply_pose(pose, p))
         assert np.abs(back - p).max() < 1e-12
 
 

@@ -1,5 +1,8 @@
 import ast
+import functools
+import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -23,6 +26,31 @@ def test_no_module_imports_the_package_by_absolute_name():
                 continue
             absolute += [f"{path.name}:{node.lineno}: {name}" for name in names if name.split(".")[0] == "dfloc"]
     assert absolute == []
+
+
+def _readme_layout() -> list[tuple[str, str]]:
+    """(module, description) of each row of README's Layout table."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Layout\n", 1)[1].split("\n## ", 1)[0]
+    return re.findall(r"^\| `(dfloc\.\w+)` \| (.+) \|$", section, flags=re.MULTILINE)
+
+
+def test_readme_layout_names_resolve_on_their_modules():
+    # Each module has a row, and each backticked (dotted) identifier of a row
+    # is an attribute of that row's module: `Pose4.identity` on the
+    # geometry row is dfloc.geometry.Pose4.identity.
+    rows = _readme_layout()
+    modules = {f"dfloc.{path.stem}" for path in Path(dfloc.__file__).parent.glob("*.py")} - {"dfloc.__init__"}
+    assert sorted(name for name, _ in rows) == sorted(modules)
+    stale = []
+    for name, description in rows:
+        module = importlib.import_module(name)
+        for ident in re.findall(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)`", description):
+            try:
+                functools.reduce(getattr, ident.split("."), module)
+            except AttributeError:
+                stale.append(f"{name}: {ident}")
+    assert stale == []
 
 
 def test_the_localizer_never_loads_scipy(tmp_path):

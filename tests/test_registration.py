@@ -12,6 +12,7 @@ from dfloc.geometry import (
     PointCloud,
     Pose4,
     apply_pose,
+    pose_delta,
     tilt_compensate,
     wrap_angle,
 )
@@ -233,7 +234,7 @@ def test_icp_matches_known_correspondence_alignment(monkeypatch, small_scene):
     pick = rng.choice(len(small_scene.map), size=400, replace=False)
     map_pts = small_scene.map.points[pick]
     true = Pose4(0.02, -0.015, 0.01, 0.004)
-    body_pts = apply_pose(true.inverse(), map_pts)
+    body_pts = apply_pose(pose_delta(true, Pose4.identity()), map_pts)
     body = PointCloud(body_pts, Frame.BODY)
     monkeypatch.setattr(registration, "ICP_MAX_ITERATIONS", 50)
     monkeypatch.setattr(registration, "ICP_CONVERGENCE_EPSILON", 1e-12)

@@ -185,6 +185,20 @@ def test_non_finite_initial_cost_is_numerical_failure():
     assert not report.converged
 
 
+def test_overflowing_normal_matrix_is_numerical_failure():
+    # Row 0's Jacobian squares past the float range: JᵀWJ holds inf while the
+    # cost and the gradient stay finite. Damped, that diagonal still gives a
+    # finite step, and the solve would "converge" with tx unconstrained.
+    def provider(pose):
+        return np.array([0.0, pose.ty - 1.0]), np.array([[1e200, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
+
+    with np.errstate(over="ignore"):
+        report = solve_lm(provider, Pose4.identity(), QUADRATIC, PARAM_TOLERANCE)
+    assert report.termination is Termination.NUMERICAL_FAILURE
+    assert report.evaluations == report.iterations == 1
+    assert report.final_params == Pose4.identity()
+
+
 def test_yaw_wrapped_after_steps():
     def provider(pose):
         # pull yaw toward 4.0 rad (outside the principal range)

@@ -11,7 +11,6 @@ import pytest
 
 from dfloc import bench
 from dfloc.distance_field import GridSpec, build_grid, plan_grid, query_many
-from dfloc.evaluation import rmse_translation
 from dfloc.formats import ground_truth_rows
 from dfloc.geometry import Frame, PointCloud
 from dfloc.nnsearch import build_index
@@ -53,7 +52,7 @@ def sparse_room():
                              noise=NoiseSetup(0.03, 0.008), seed=9)
     icp = bench.run_tracking(scenario, "icp", "baseline", map_index=build_index(scene.map), seed=9)
     assert not icp.diverged
-    return scenario, rmse_translation(icp.rows, ground_truth_rows(scenario))[0]
+    return scenario, bench.trajectory_rmse(icp.rows, ground_truth_rows(scenario))[0]
 
 
 @pytest.mark.parametrize(
@@ -72,5 +71,5 @@ def test_dll_tracks_within_3x_icp_wherever_the_walls_fall_in_a_cell(sparse_room,
     grid = build_grid(scenario.map, plan_grid(scenario.map, RES, margin=1.0 + cell_offset * RES))
     dll = bench.run_tracking(scenario, "dll", "baseline", grid=grid, seed=9)
     assert not dll.diverged
-    dll_rmse = rmse_translation(dll.rows, ground_truth_rows(scenario))[0]
+    dll_rmse = bench.trajectory_rmse(dll.rows, ground_truth_rows(scenario))[0]
     assert dll_rmse <= 3.0 * icp_rmse, f"dll {dll_rmse * 1e3:.2f} mm vs icp {icp_rmse * 1e3:.2f} mm"

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from dfloc import bench, tracker
-from dfloc.distance_field import DfGrid
+from dfloc import bench, registration, tracker
+from dfloc.distance_field import DfGrid, GridSpec
+from dfloc.formats import write_report
 from dfloc.geometry import Attitude, Frame, PointCloud, Pose4, compose, tilt_compensate
 from dfloc.nnsearch import build_index
-from dfloc.registration import icp_register
+from dfloc.registration import RegistrationError, icp_register
 from dfloc.synth import NoiseSetup, ScanModel, make_scenario
 from dfloc.tracker import ScanFrame, TrackStepError, advance, init_tracker, track_step
 
@@ -101,6 +102,29 @@ def test_failure_surfaces_step_index(small_grid):
         track_step(state, frame, small_grid)
     assert err.value.step_index == 0
     assert state.step_index == 0 and state.current_pose == Pose4(1000.0, 1000.0, 1000.0, 0.0)
+
+
+def test_numerical_failure_surfaces_step_index():
+    # Node distances of 1e200 overflow the squared residual, so both solver
+    # passes end in a numerical failure, which dll_register raises.
+    grid = DfGrid(GridSpec(np.zeros(3), 0.5, 4, 4, 4), np.full((5, 5, 5), 1e200))
+    frame = ScanFrame(PointCloud(np.ones((10, 3)), Frame.SENSOR), Attitude.level(), Pose4.identity(), 0.0)
+    with np.errstate(over="ignore"), pytest.raises(TrackStepError) as err:
+        track_step(init_tracker(Pose4.identity()), frame, grid)
+    assert err.value.step_index == 0
+    assert type(err.value.__cause__) is RegistrationError
+    assert "numerical failure" in str(err.value)
+
+
+def test_icp_run_without_correspondences_diverges_at_step_0(monkeypatch, small_scene, tmp_path):
+    monkeypatch.setattr(registration, "ICP_MAX_CORRESPONDENCE_DISTANCE", 1e-12)
+    scenario = make_scenario(small_scene, 3, 0.15, ScanModel(max_range=10, points=300), NoiseSetup(), seed=59)
+    run = bench.run_tracking(scenario, "icp", "baseline", map_index=build_index(small_scene.map), seed=0)
+    assert run.divergence_step == 0 and run.rows == [] and run.step_times.size == 0
+    row = bench.bench_row(run, scenario)
+    assert row == bench.BenchRow("icp", "baseline", None, None, None, None, None, None, True)
+    write_report([row], tmp_path / "report.csv")
+    assert (tmp_path / "report.csv").read_text().splitlines()[1] == "icp,baseline,,,,,true"
 
 
 def test_pose_continuity_under_bounded_noise(small_scene, small_grid):
