@@ -24,6 +24,7 @@ import math
 import os
 import struct
 import uuid
+import zlib
 from dataclasses import InitVar, dataclass, field, replace
 from functools import cached_property
 
@@ -33,7 +34,7 @@ from .geometry import Frame, FrameError, PointCloud
 from .nnsearch import FIELD_LEAF_SIZE, build_index, certified_nearest, exact_distance
 
 GRID_MAGIC = b"DFGRID1\n"
-GRID_VERSION = 1
+GRID_VERSION = 2
 
 # Largest lattice, in nodes, that a grid may have when planned or loaded.
 MAX_NODES = 1 << 33
@@ -139,15 +140,16 @@ class DfGrid:
     """Built distance field: node lattice plus the trilinear coefficients of the cells near the surface.
 
     node_distances has shape (nx+1, ny+1, nz+1). A cell's coefficients are
-    the fit of its 8 nodes (``fit_cell_coeffs``), unless ``table``, shape
-    (nx, ny, nz, 8), gives others; ``load_grid`` passes the stored one.
-    ``band`` is what the grid keeps of the table: ``(slots, rows)``, with
-    one int32 slot per lattice node and a row for each cell that is in the
-    band (smallest corner distance at most ``BAND_CELLS`` times the
-    resolution) or whose given row is not bitwise the fit of its nodes. A
-    cell's slot, at its minimum corner, is the index of its row or -1. A
-    grid given no table fits its band from the nodes on first access. ``coeffs`` assembles and keeps the
-    whole table on request; queries never ask for it. Everything is
+    the fit of its 8 nodes (``fit_cell_coeffs``). ``band`` holds them for
+    the cells near the surface: ``(slots, rows)``, with one int32 slot per
+    lattice node and a row for each cell in the band (smallest corner
+    distance at most ``BAND_CELLS`` times the resolution). A cell's slot, at
+    its minimum corner, is the index of its row or -1. The band is fitted on
+    first access; ``load_grid`` fits it before it returns. ``coeffs``
+    assembles and keeps the whole table on request; queries never ask for
+    it. ``table`` stays for callers that pass one, such as the benchmark's
+    corrupted-file self-test: it must have shape (nx, ny, nz, 8) and be
+    finite, and the grid keeps none of its values. Everything is
     read-only, so a grid can serve any number of concurrent queries; racing
     first accesses at worst fit the band twice. ``max_distance`` is the
     largest node distance, an upper bound of the field inside the volume.
@@ -174,39 +176,27 @@ class DfGrid:
             expect_cells = (self.spec.nx, self.spec.ny, self.spec.nz, 8)
             if coeffs.shape != expect_cells:
                 raise ValueError(f"coefficient array shape {coeffs.shape} != {expect_cells}")
-            slabs = (coeffs[c0:c1] for c0, c1 in _slabs(self.spec, self.spec.nx))
-            self.__dict__["band"] = _band(self.spec, nodes, slabs)  # the kept value of the cached property
+            if not -math.inf < coeffs.min() <= coeffs.max() < math.inf:  # NaN fails
+                raise ValueError("cell coefficients must be finite")
 
     @cached_property
     def band(self) -> tuple[np.ndarray, np.ndarray]:
         return _band(self.spec, self.node_distances)
 
-    def coeff_slabs(self):
-        """Yield the coefficient table by x slabs: the fit of the nodes, with the band's rows put in."""
-        spec, band = self.spec, self.__dict__.get("band")
-        for c0, c1 in _slabs(spec, spec.nx):
-            slab = fit_cell_coeffs(self.node_distances[c0 : c1 + 1], spec.resolution)
-            if band is not None:
-                slots, rows = band
-                slot = slots.reshape(self.node_distances.shape)[c0:c1, :-1, :-1]
-                kept = slot >= 0
-                slab[kept] = rows[slot[kept]]
-            yield slab
-
     @cached_property
     def coeffs(self) -> np.ndarray:
-        planes = (plane for slab in self.coeff_slabs() for plane in slab)
-        table = np.fromiter(planes, np.dtype((np.float64, (self.spec.ny, self.spec.nz, 8))), self.spec.nx)
+        spec = self.spec
+        table = np.empty((spec.nx, spec.ny, spec.nz, 8))
+        for c0, c1 in _slabs(spec, spec.nx):
+            table[c0:c1] = fit_cell_coeffs(self.node_distances[c0 : c1 + 1], spec.resolution)
         table.setflags(write=False)
         return table
 
 
-def _band(spec: GridSpec, nodes: np.ndarray, table_slabs=None) -> tuple[np.ndarray, np.ndarray]:
-    """A grid's ``(slots, rows)`` from its nodes and, if given, its table in ``_slabs`` order.
+def _band(spec: GridSpec, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A grid's ``(slots, rows)``: the fit of its nodes for each cell in the band.
 
-    A cell keeps a row when it is in the band, or when its given row is not
-    bitwise the fit of its nodes; the kept row is the given one, else the
-    fit. Holds the nodes, the slots, the rows and one slab's working arrays.
+    Holds the nodes, the slots, the rows and one slab's working arrays.
     """
     slabs = _slabs(spec, spec.nx)
     # A row index fits int32 unless the grid has 2**31 cells or more.
@@ -223,30 +213,10 @@ def _band(spec: GridSpec, nodes: np.ndarray, table_slabs=None) -> tuple[np.ndarr
         lattice[c0:c1, :-1, :-1][near] = np.arange(count, count + n)
         count += n
     rows = np.empty((count, 8))
-    extra = []
-    for (c0, c1), given in zip(slabs, table_slabs or [None] * len(slabs)):
-        d = nodes[c0 : c1 + 1]
+    for c0, c1 in slabs:
         slot = lattice[c0:c1, :-1, :-1]
         kept = slot >= 0
-        if given is None:
-            rows[slot[kept]] = fit_cell_coeffs(d, spec.resolution)[kept]
-            continue
-        given = np.ascontiguousarray(given, dtype=np.float64)
-        if not -math.inf < given.min() <= given.max() < math.inf:  # NaN fails
-            raise ValueError("cell coefficients must be finite")
-        # Compared coefficient by coefficient: the slab's fit is never held whole.
-        stale = np.zeros(kept.shape, dtype=bool)
-        for k, coeff in enumerate(_trilinear_fit(_lattice_corners(d), spec.resolution)):
-            stale |= given[..., k].view(np.uint64) != coeff.view(np.uint64)
-        stale &= ~kept
-        n = int(np.count_nonzero(stale))
-        if n:
-            slot[stale] = np.arange(count, count + n)
-            count += n
-            extra.append(given[stale])
-        rows[slot[kept]] = given[kept]
-    if extra:
-        rows = np.concatenate([rows, *extra])
+        rows[slot[kept]] = fit_cell_coeffs(nodes[c0 : c1 + 1], spec.resolution)[kept]
     slots.setflags(write=False)
     rows.setflags(write=False)
     return slots, rows
@@ -287,17 +257,12 @@ def fit_cell_coeffs(nodes, resolution: float) -> np.ndarray:
     d = np.asarray(nodes, dtype=np.float64)
     if d.ndim != 3:
         raise ValueError(f"expected a 3-D node lattice, got shape {d.shape}")
-    corners = _lattice_corners(d)
+    lo, hi = slice(None, -1), slice(1, None)
+    corners = [d[x, y, z] for z in (lo, hi) for y in (lo, hi) for x in (lo, hi)]  # _trilinear_fit's order
     out = np.empty(corners[0].shape + (8,))
     for k, coeff in enumerate(_trilinear_fit(corners, resolution)):
         out[..., k] = coeff
     return out
-
-
-def _lattice_corners(d: np.ndarray) -> list[np.ndarray]:
-    """Views of a node lattice at each cell's 8 corners, in ``_trilinear_fit``'s order."""
-    lo, hi = slice(None, -1), slice(1, None)
-    return [d[x, y, z] for z in (lo, hi) for y in (lo, hi) for x in (lo, hi)]
 
 
 def _trilinear_fit(corners, resolution: float):
@@ -347,10 +312,9 @@ def build_grid(cloud: PointCloud, spec: GridSpec, workers: int = -1) -> DfGrid:
     uncertified winner, and then its distance. That pass goes slab by slab
     of whole x planes (``SLAB_NODES`` nodes); plane queries go in blocks of
     at most half a slab, and fills one plane at a time. So a build holds
-    the lattice plus one slab's working arrays. The grid's coefficient
-    table is fitted when first queried, or streamed slab by slab by
-    ``save_grid``. The result is bitwise independent of the worker count
-    and slab size.
+    the lattice plus one slab's working arrays. The grid's band of
+    coefficient rows is fitted when first queried. The result is bitwise
+    independent of the worker count and slab size.
     """
     if len(cloud) == 0:
         raise ValueError("cannot build a distance field from an empty map")
@@ -491,26 +455,31 @@ def _cell_coeffs(grid: DfGrid, corner) -> np.ndarray:
 # After the magic: version, origin, resolution, margin, cell counts.
 _HEADER_FMT = "<I3ddd3Q"
 _HEADER_SIZE = len(GRID_MAGIC) + struct.calcsize(_HEADER_FMT)
+# After the node distances: the CRC-32 (zlib.crc32) of every byte before it.
+_CRC_FMT = "<I"
+_CRC_SIZE = struct.calcsize(_CRC_FMT)
 
 
 def save_grid(grid: DfGrid, path) -> None:
     """Write a grid to the binary .df layout (see FORMATS.md), replacing ``path`` atomically.
 
-    The table is streamed one ``DfGrid.coeff_slabs`` slab at a time into a sibling
+    The file holds the header, the node distances and a CRC-32 of both;
+    nothing that can be computed from them. It is written into a sibling
     temporary file, renamed over ``path`` once complete and removed on failure.
     """
     spec = grid.spec
     header = GRID_MAGIC + struct.pack(
         _HEADER_FMT, GRID_VERSION, *spec.origin, spec.resolution, spec.margin, spec.nx, spec.ny, spec.nz
     )
+    nodes = grid.node_distances.astype("<f8", copy=False)
+    crc = struct.pack(_CRC_FMT, zlib.crc32(nodes, zlib.crc32(header)))
     tmp = f"{os.fspath(path)}.{uuid.uuid4().hex}.tmp"
     fh = open(tmp, "xb")
     try:
         with fh:
             fh.write(header)
-            grid.node_distances.astype("<f8", copy=False).tofile(fh)
-            for slab in grid.coeff_slabs():
-                slab.astype("<f8", copy=False).tofile(fh)
+            fh.write(nodes)
+            fh.write(crc)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -520,12 +489,14 @@ def save_grid(grid: DfGrid, path) -> None:
 def load_grid(path) -> DfGrid:
     """Read a grid written by save_grid; the round trip is bit-exact.
 
-    The nodes are read whole, the table one ``SLAB_NODES`` slab at a time,
-    and only the rows the grid keeps (see ``DfGrid``) are held. Raises
-    GridMagicError, GridVersionError, GridDimensionError or
+    The nodes are read whole and checked against the file's CRC-32, and the
+    grid's band is fitted from them before it is returned, so no query pays
+    for the fit. Raises GridMagicError, GridVersionError (a version 1 file
+    too: rebuild it with ``dfloc build-df``), GridDimensionError or
     GridTruncatedError for the corresponding malformed inputs, before
     reading the payload; GridTruncatedError also when the file shrinks while
-    it is read; and GridFileError for any other invalid content.
+    it is read; and GridFileError for a checksum mismatch or any other
+    invalid content.
     """
     with open(path, "rb") as fh:
         head = fh.read(_HEADER_SIZE)
@@ -537,35 +508,30 @@ def load_grid(path) -> DfGrid:
             _HEADER_FMT, head[len(GRID_MAGIC) :]
         )
         if version != GRID_VERSION:
-            raise GridVersionError(f"{path}: unsupported grid version {version}")
+            raise GridVersionError(
+                f"{path}: unsupported grid version {version}, this reader takes {GRID_VERSION}; "
+                "rebuild the file from its map with dfloc build-df"
+            )
         try:
             spec = GridSpec(np.array([ox, oy, oz]), resolution, nx, ny, nz, margin)
         except ValueError as exc:
             error = GridDimensionError if isinstance(exc, GridDimensionError) else GridFileError
             raise error(f"{path}: {exc}") from exc
-        expected = 8 * ((nx + 1) * (ny + 1) * (nz + 1) + 8 * nx * ny * nz)
+        expected = 8 * (nx + 1) * (ny + 1) * (nz + 1) + _CRC_SIZE
         found = os.fstat(fh.fileno()).st_size - _HEADER_SIZE
         if found != expected:
             raise GridTruncatedError(f"{path}: payload is {found} bytes, header implies {expected} bytes")
-
-        def read(out):
-            if fh.readinto(out) != out.nbytes:  # the file shrank since fstat
-                found = fh.tell() - _HEADER_SIZE
-                raise GridTruncatedError(f"{path}: payload is {found} bytes, header implies {expected} bytes")
-            return out
-
-        def table_slabs():  # each read into the one buffer; _band copies what it keeps
-            slabs = _slabs(spec, nx)
-            buffer = np.empty((slabs[0][1], ny, nz, 8), dtype="<f8")  # the first slab is the widest
-            for c0, c1 in slabs:
-                yield read(buffer[: c1 - c0])
-
-        nodes = read(np.empty((nx + 1, ny + 1, nz + 1), dtype="<f8"))
-        try:
-            grid = DfGrid(spec, nodes)
-            grid.__dict__["band"] = _band(spec, grid.node_distances, table_slabs())
-        except GridTruncatedError:
-            raise
-        except ValueError as exc:
-            raise GridFileError(f"{path}: {exc}") from exc
+        nodes = np.empty((nx + 1, ny + 1, nz + 1), dtype="<f8")
+        got = fh.readinto(nodes)
+        crc = fh.read(_CRC_SIZE)
+        if got != nodes.nbytes or len(crc) != _CRC_SIZE:  # the file shrank since fstat
+            found = fh.tell() - _HEADER_SIZE
+            raise GridTruncatedError(f"{path}: payload is {found} bytes, header implies {expected} bytes")
+    if zlib.crc32(nodes, zlib.crc32(head)) != struct.unpack(_CRC_FMT, crc)[0]:
+        raise GridFileError(f"{path}: checksum mismatch, the file is corrupt")
+    try:
+        grid = DfGrid(spec, nodes)
+    except ValueError as exc:
+        raise GridFileError(f"{path}: {exc}") from exc
+    grid.band  # fitted here, so that no timed query pays for it
     return grid

@@ -64,7 +64,7 @@ class PointCloud:
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
         if not isinstance(self.frame, Frame):
-            object.__setattr__(self, "frame", Frame(self.frame))
+            raise FrameError(f"frame must be a Frame member, got {self.frame!r}")
 
     def __len__(self) -> int:
         return self.points.shape[0]

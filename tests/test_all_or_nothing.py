@@ -3,8 +3,9 @@
 Each loader gets a small valid file. Every truncation, two appended tails and
 a few hundred single-bit flips drawn from a seeded ``random.Random`` are fed to
 it; no exception other than the loader's documented class may escape. Whether a
-mutation that loads gives the same object is not checked: a flipped digit or
-grid payload byte still loads (grid payloads are not checksummed in format v1).
+text or cloud mutation that loads gives the same object is not checked: a
+flipped digit still loads. A grid file ends in a CRC-32 of every byte before
+it, so no mutation of one may load at all.
 """
 
 import random
@@ -34,20 +35,23 @@ def mutations(data: bytes, seed: str):
         yield bytes(flipped)
 
 
-def escaped_exceptions(path, load, error, seed):
-    """Write each mutation of ``path`` in place and collect the exceptions that are not ``error``."""
+def feed_mutations(path, load, error, seed):
+    """Write each mutation of ``path`` in place; return the exceptions that are not
+    ``error``, and the mutations that loaded."""
     data = path.read_bytes()
-    escaped = []
+    escaped, loaded = [], []
     for mutated in mutations(data, seed):
         path.write_bytes(mutated)
         try:
             load()
         except error:
-            pass
+            continue
         except Exception as exc:  # every other class is the defect under test
             escaped.append(f"{type(exc).__name__}: {exc} <- {mutated!r}")
+            continue
+        loaded.append(mutated)
     path.write_bytes(data)
-    return escaped
+    return escaped, loaded
 
 
 def _cloud(n=4):
@@ -116,5 +120,7 @@ LOADERS = {
 def test_loader_is_all_or_nothing(tmp_path, name):
     path, load, error = LOADERS[name](tmp_path)
     load()  # the unmutated file is valid
-    escaped = escaped_exceptions(path, load, error, seed=name)
+    escaped, loaded = feed_mutations(path, load, error, seed=name)
     assert not escaped, f"{len(escaped)} mutations escaped {error.__name__}, first: {escaped[:3]}"
+    if name == "load_grid":
+        assert not loaded, f"{len(loaded)} mutated grid files loaded, first: {loaded[:1]!r}"

@@ -1,8 +1,10 @@
+import io
 import math
 import struct
 import sys
 import tracemalloc
 import warnings
+import zlib
 from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
 
@@ -12,6 +14,7 @@ import pytest
 from dfloc import distance_field, synth
 from dfloc.distance_field import (
     GRID_MAGIC,
+    GRID_VERSION,
     DfGrid,
     GridDimensionError,
     GridFileError,
@@ -28,6 +31,8 @@ from dfloc.distance_field import (
 )
 from dfloc.geometry import Frame, FrameError, PointCloud, Pose4, apply_pose, rotate_z
 from dfloc.nnsearch import FIELD_LEAF_SIZE, brute_force_distances, build_index
+
+_HEADER_SIZE = len(GRID_MAGIC) + struct.calcsize("<I3ddd3Q")
 
 UNIT_CUBE = PointCloud(
     np.array([[x, y, z] for x in (0.0, 1.0) for y in (0.0, 1.0) for z in (0.0, 1.0)]),
@@ -282,25 +287,30 @@ def test_build_memory_bounded_on_a_surface_map(tmp_path):
     assert peak < 2.5 * nodes, f"peak {peak / 1e6:.1f} MB for {nodes / 1e6:.1f} MB of nodes"
 
 
+class _FailsAfterTheHeader(io.BufferedWriter):
+    """A file whose writes fail once the header is in."""
+
+    def write(self, data):
+        if self.tell() >= _HEADER_SIZE:
+            raise OSError("simulated failure mid-save")
+        return super().write(data)
+
+
 def test_save_grid_replaces_the_file_atomically(monkeypatch, tmp_path, small_scene):
     spec = plan_grid(small_scene.map, 0.25, margin=0.5)
     path = tmp_path / "grid.df"
     save_grid(build_grid(small_scene.map, spec), path)
     good = path.read_bytes()
-    monkeypatch.setattr(distance_field, "SLAB_NODES", (spec.ny + 1) * (spec.nz + 1))
-    fit, calls = distance_field.fit_cell_coeffs, []
+    opened = []
 
-    def fail_second(*args):
-        calls.append(1)
-        if len(calls) == 2:
-            raise RuntimeError("simulated failure mid-save")
-        return fit(*args)
+    def failing_open(file, mode):
+        opened.append(_FailsAfterTheHeader(io.FileIO(file, mode)))
+        return opened[-1]
 
-    grid = build_grid(small_scene.map, spec)
-    monkeypatch.setattr(distance_field, "fit_cell_coeffs", fail_second)
-    with pytest.raises(RuntimeError, match="mid-save"):
-        save_grid(grid, path)
-    assert len(calls) == 2
+    monkeypatch.setattr(distance_field, "open", failing_open, raising=False)
+    with pytest.raises(OSError, match="mid-save"):
+        save_grid(build_grid(small_scene.map, spec), path)
+    assert len(opened) == 1 and opened[0].closed
     assert path.read_bytes() == good
     assert [p.name for p in tmp_path.iterdir()] == ["grid.df"]
 
@@ -492,9 +502,8 @@ def _assert_queries_keep_the_bits(grid, table, pts):
 
 def test_band_queries_keep_the_bits_of_the_whole_table(tmp_path, rotated_room):
     # Poses offset 0-1 m from the map put queries in the band, out of it and
-    # off the volume. A grid fitting its band, a loaded one, and one given a
-    # stale table (rows that are not the fit of their nodes) all answer as
-    # today's gather from the whole table did, bit for bit.
+    # off the volume. A grid fitting its band and a loaded one both answer as
+    # the gather from the whole table did, bit for bit.
     cloud, grid = rotated_room
     spec = grid.spec
     table = fit_cell_coeffs(grid.node_distances, spec.resolution)
@@ -513,30 +522,18 @@ def test_band_queries_keep_the_bits_of_the_whole_table(tmp_path, rotated_room):
     kinds = (in_band & inside, ~in_band & inside, ~inside)
     assert kinds[0].sum() > 1000 and kinds[1].sum() > 1000 and kinds[2].sum() > 100
     singles = [pts[np.flatnonzero(m)[j]] for m in kinds for j in range(5)]
-
-    # One ulp off in one coefficient of 40 queried cells in the band and 40 outside it.
-    stale = table.copy()
-    for m in kinds[:2]:
-        cells = np.unique(cell[m], axis=0)
-        for n, (i, j, k) in enumerate(cells[rng.choice(len(cells), 40, replace=False)]):
-            stale[i, j, k, n % 8] = np.nextafter(stale[i, j, k, n % 8], math.inf)
-    stale_grid = DfGrid(spec, grid.node_distances, stale)
-    assert len(stale_grid.band[1]) == len(grid.band[1]) + 40  # the band, and the stale rows outside it
     save_grid(grid, tmp_path / "fit.df")
-    save_grid(stale_grid, tmp_path / "stale.df")
-    cases = [("fitted", grid, table), ("loaded", load_grid(tmp_path / "fit.df"), table),
-             ("stale", stale_grid, stale), ("stale, loaded", load_grid(tmp_path / "stale.df"), stale)]
-    for case, g, want in cases:
+    for case, g in [("fitted", grid), ("loaded", load_grid(tmp_path / "fit.df"))]:
         far = np.array([spec.origin - 1e3, spec.upper + 1e3, spec.origin + [-1e3, 0.0, 1e3]])
         for scan in scans + singles + [far, np.empty((0, 3))]:
-            _assert_queries_keep_the_bits(g, want, scan)
-        assert _same_bits(g.coeffs, want), case
+            _assert_queries_keep_the_bits(g, table, scan)
+        assert _same_bits(g.coeffs, table), case
 
 
 def test_load_keeps_the_band_not_the_table(tmp_path):
     # A 0.1 m grid of a 10 m room, the tracking benchmark's geometry. The loader
-    # holds the nodes, one slot per node, the band's rows and one slab of the
-    # table at a time, never the whole table.
+    # holds the nodes, one slot per node, the band's rows and one slab's fit at
+    # a time, never the whole table.
     scene = synth.make_scene("box_room", 10.0, 30.0, seed=3)
     spec = plan_grid(scene.map, 0.1, margin=1.0)
     path = tmp_path / "grid.df"
@@ -574,13 +571,17 @@ def test_load_rejects_bad_magic(tmp_path):
 
 
 def test_load_rejects_bad_version(tmp_path, small_grid):
-    path = tmp_path / "v9.df"
+    # Version 1 also stored the coefficient table. A .df file is derived from
+    # its map, so an old or unknown one is rebuilt, not read.
+    path = tmp_path / "version.df"
     save_grid(small_grid, path)
-    raw = bytearray(path.read_bytes())
-    struct.pack_into("<I", raw, len(GRID_MAGIC), 9)
-    path.write_bytes(bytes(raw))
-    with pytest.raises(GridVersionError):
-        load_grid(path)
+    good = path.read_bytes()
+    for version in (1, 9):
+        raw = bytearray(good)
+        struct.pack_into("<I", raw, len(GRID_MAGIC), version)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(GridVersionError, match="build-df"):
+            load_grid(path)
 
 
 def test_load_rejects_truncated_payload(tmp_path, small_grid):
@@ -595,30 +596,33 @@ def test_load_rejects_truncated_payload(tmp_path, small_grid):
         load_grid(path)
 
 
-def test_load_rejects_non_finite_coefficient(tmp_path, small_grid):
+def _rewrite_node(path, index, value, checksum):
+    """Store ``value`` as node ``index`` (flat) of the grid file at ``path``; with
+    ``checksum``, recompute the CRC-32 so that it covers the new bytes."""
+    raw = bytearray(path.read_bytes())
+    struct.pack_into("<d", raw, _HEADER_SIZE + 8 * index, value)
+    if checksum:
+        struct.pack_into("<I", raw, len(raw) - 4, zlib.crc32(raw[:-4]))
+    path.write_bytes(bytes(raw))
+
+
+def test_load_rejects_non_finite_node_distance(tmp_path, small_grid):
+    # A NaN node under a valid checksum: the content itself is refused.
     path = tmp_path / "nan.df"
     save_grid(small_grid, path)
-    raw = bytearray(path.read_bytes())
-    # The coefficients are the last doubles of the file; poison one mid-table.
-    struct.pack_into("<d", raw, len(raw) - 8 * (small_grid.coeffs.size // 2), math.nan)
-    path.write_bytes(bytes(raw))
-    with pytest.raises(GridFileError, match="coefficients must be finite"):
+    _rewrite_node(path, small_grid.node_distances.size // 2, math.nan, checksum=True)
+    with pytest.raises(GridFileError, match="node distances must be finite"):
         load_grid(path)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=pytest.fail.Exception,
-    reason="a .df file stores the coefficient table, and load_grid does not check it against the nodes",
-)
-def test_load_rejects_coefficients_that_are_not_the_fit_of_the_nodes(tmp_path):
+def test_load_rejects_a_node_that_does_not_match_the_checksum(tmp_path):
     spec = plan_grid(UNIT_CUBE, 0.5, margin=0.5)
     nodes = build_grid(UNIT_CUBE, spec).node_distances
-    table = fit_cell_coeffs(nodes, spec.resolution)
-    table[1, 2, 3, 0] = np.nextafter(table[1, 2, 3, 0], math.inf)  # one ulp off, still finite
-    path = tmp_path / "stale.df"
-    save_grid(DfGrid(spec, nodes, table), path)
-    with pytest.raises(GridFileError):
+    path = tmp_path / "ulp.df"
+    save_grid(DfGrid(spec, nodes), path)
+    index = np.ravel_multi_index((1, 2, 3), nodes.shape)
+    _rewrite_node(path, index, np.nextafter(nodes[1, 2, 3], math.inf), checksum=False)  # one ulp off, still finite
+    with pytest.raises(GridFileError, match="checksum"):
         load_grid(path)
 
 
@@ -659,15 +663,15 @@ def test_load_reads_no_more_than_the_header_implies(tmp_path):
     assert peak < 1 << 20, f"peak {peak / 2**20:.1f} MiB"
 
 
-@pytest.mark.parametrize("cut", ["nodes", "table"])
+@pytest.mark.parametrize("cut", ["nodes", "checksum"])
 def test_load_refuses_a_file_that_shrinks_while_it_is_read(monkeypatch, tmp_path, small_grid, cut):
     # The size check sees the size the file had; the payload then runs short,
-    # in the node lattice or in the table's last slab.
+    # in the node lattice or in the checksum.
     path = tmp_path / "grid.df"
     save_grid(small_grid, path)
     size = path.stat().st_size
-    header = len(GRID_MAGIC) + struct.calcsize("<I3ddd3Q")
-    keep = header + 64 if cut == "nodes" else size - 16
+    header = _HEADER_SIZE
+    keep = header + 64 if cut == "nodes" else size - 2
     with open(path, "r+b") as fh:
         fh.truncate(keep)
     monkeypatch.setattr(distance_field.os, "fstat", lambda fd: SimpleNamespace(st_size=size))
@@ -679,7 +683,7 @@ def test_load_refuses_a_payload_larger_than_the_file(tmp_path):
     # 140 bytes whose header claims 1999^3 cells: within MAX_NODES, but the
     # payload it implies is about 575 GB, so no read may be sized by it.
     path = tmp_path / "huge.df"
-    header = GRID_MAGIC + struct.pack("<I3ddd3Q", 1, 0.0, 0.0, 0.0, 0.1, 0.0, 1999, 1999, 1999)
+    header = GRID_MAGIC + struct.pack("<I3ddd3Q", GRID_VERSION, 0.0, 0.0, 0.0, 0.1, 0.0, 1999, 1999, 1999)
     path.write_bytes(header.ljust(140, b"\0"))
     with pytest.raises(GridTruncatedError, match="header implies"):
         load_grid(path)

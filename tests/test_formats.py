@@ -35,6 +35,7 @@ from dfloc.formats import (
     write_cloud,
     write_trajectory,
 )
+from dfloc.distance_field import _HEADER_FMT, GRID_MAGIC, GRID_VERSION, build_grid, plan_grid, save_grid
 from dfloc.geometry import Frame, PointCloud, Pose4
 from dfloc.synth import NoiseSetup, ScanModel, make_scenario, make_scene
 
@@ -314,6 +315,41 @@ def test_formats_md_names_every_retired_key():
     section = _formats_md().split("## Run configuration", 1)[1].split("\n## ", 1)[0]
     missing = [key for key in RETIRED_KEY_VIOLATIONS if f"`{key}`" not in section]
     assert not missing, f"FORMATS.md's run configuration does not name {missing}"
+
+
+def _formats_md_grid_table() -> list[tuple[str, str, str]]:
+    """(offset, size, field) of each row of FORMATS.md's ``.df`` layout table."""
+    section = _formats_md().split("## Distance-field grid (`.df`)", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| ([^|]+?) \| ([^|]+?) \| ([^|]+?) \|$", section, flags=re.MULTILINE)
+    return [row for row in rows if row[0] not in ("offset", "---")]
+
+
+def _grid_bytes(expression: str, spec) -> int:
+    """A FORMATS.md offset or size, such as ``76 + 8·(nx+1)(ny+1)(nz+1)``, for ``spec``."""
+    python = expression.replace("·", "*").replace(")(", ")*(")
+    return eval(python, {"__builtins__": {}}, {"nx": spec.nx, "ny": spec.ny, "nz": spec.nz})
+
+
+def test_formats_md_grid_table_matches_the_writer(tmp_path):
+    # The header rows are the magic and the fields of _HEADER_FMT in order; the
+    # rows tile the file with no gap, and end where a saved grid ends.
+    cloud = PointCloud(np.array([[0.0, 0.0, 0.0], [0.9, 0.5, 0.3]]), Frame.MAP)
+    spec = plan_grid(cloud, 0.1, margin=0.05)
+    assert len({spec.nx, spec.ny, spec.nz}) == 3
+    path = tmp_path / "g.df"
+    save_grid(build_grid(cloud, spec), path)
+    codes = re.findall(r"\d*[A-Za-z]", _HEADER_FMT.lstrip("<"))
+    header = [len(GRID_MAGIC)] + [struct.calcsize("<" + code) for code in codes]
+    rows = _formats_md_grid_table()
+    assert f"currently {GRID_VERSION}" in rows[1][2]
+    assert rows[-2][2].startswith("node distances") and rows[-1][2].startswith("CRC-32")
+    sizes = [_grid_bytes(size, spec) for _, size, _ in rows]
+    assert sizes == header + [8 * (spec.nx + 1) * (spec.ny + 1) * (spec.nz + 1), 4]
+    offset = 0
+    for (start, _, field), size in zip(rows, sizes):
+        assert _grid_bytes(start, spec) == offset, field
+        offset += size
+    assert offset == path.stat().st_size
 
 
 def test_config_file_parsing(tmp_path):

@@ -104,6 +104,12 @@ def test_cloud_rejects_non_finite_and_bad_shape():
         PointCloud(np.zeros((2, 2)), Frame.MAP)
 
 
+@pytest.mark.parametrize("frame", ["map", "body", None])
+def test_cloud_takes_only_a_frame_member(frame):
+    with pytest.raises(FrameError, match=repr(frame)):
+        PointCloud(np.zeros((2, 3)), frame)
+
+
 def test_cloud_is_read_only():
     cloud = PointCloud(np.zeros((3, 3)), Frame.MAP)
     with pytest.raises(ValueError):
