@@ -45,7 +45,6 @@ from .solver import (
     RobustLoss,
     SolveReport,
     Termination,
-    cauchy_rho,
     solve_lm,
 )
 from .synth import (

@@ -55,6 +55,8 @@ def _as_points(points) -> np.ndarray:
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError(f"expected an (N, 3) point array, got shape {pts.shape}")
+    if not np.isfinite(pts).all():
+        raise ValueError("index points must be finite")
     return pts
 
 
@@ -74,8 +76,6 @@ class KdTree3:
         pts = _as_points(points)
         if pts.shape[0] == 0:
             raise ValueError("cannot build an index over an empty cloud")
-        if not np.isfinite(pts).all():
-            raise ValueError("index points must be finite")
         self.points = np.ascontiguousarray(pts)
         self.points.setflags(write=False)
         from scipy.spatial import cKDTree  # on first use: see the module docstring

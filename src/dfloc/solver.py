@@ -6,10 +6,11 @@ normal equations: each iteration solves
     (J^T W J + lam * diag(J^T W J)) delta = -J^T W r
 
 with w_i = rho'(r_i^2), accepts the step only if the robust cost drops,
-and scales the damping down on acceptance / up on rejection. The residual
-provider is any callable pose -> (r, J) returning finite residuals (N,)
-and Jacobians (N, 4). The report keeps the provider's outputs at the start
-and at the result, so a caller never has to evaluate either pose again.
+and scales the damping down on acceptance / up on rejection. ``RobustLoss``
+is the Cauchy rho. Each evaluation's residuals give the cost and weights;
+its Jacobian is read only at the top of an iteration. The report keeps the
+provider's outputs at the start and at the result, so a caller never has
+to evaluate either pose again.
 """
 
 from __future__ import annotations
@@ -49,25 +50,15 @@ class Termination(enum.Enum):
     NUMERICAL_FAILURE = "numerical_failure"
 
 
-def cauchy_rho(s, scale: float) -> tuple[np.ndarray, np.ndarray]:
-    """Cauchy robust cost and derivative for squared residual(s) ``s``.
+@dataclass(frozen=True)
+class RobustLoss:
+    """Cauchy loss of width ``scale`` applied to each squared residual.
 
     rho(s) = c^2 * log(1 + s/c^2) with c = scale; rho'(s) = 1/(1 + s/c^2).
     The derivative is the per-residual weight in the reweighted system:
     1 at zero residual, decaying toward 0 as the residual grows, which is
-    what suppresses unmapped clutter.
+    what suppresses unmapped clutter. The scale is checked at construction.
     """
-    if not 0.0 < scale < math.inf:
-        raise ValueError(f"scale must be positive and finite, got {scale}")
-    s = np.asarray(s, dtype=np.float64)
-    c2 = scale * scale
-    t = s / c2
-    return c2 * np.log1p(t), 1.0 / (1.0 + t)
-
-
-@dataclass(frozen=True)
-class RobustLoss:
-    """Cauchy loss of width ``scale`` applied to each squared residual."""
 
     scale: float
 
@@ -76,8 +67,9 @@ class RobustLoss:
             raise ValueError(f"loss scale must be positive and finite, got {self.scale}")
 
     def cost_and_weights(self, r: np.ndarray) -> tuple[float, np.ndarray]:
-        rho, w = cauchy_rho(r * r, self.scale)
-        return float(rho.sum()), w
+        c2 = self.scale * self.scale
+        t = r * r / c2
+        return float((c2 * np.log1p(t)).sum()), 1.0 / (1.0 + t)
 
 
 @dataclass(frozen=True)
@@ -105,13 +97,6 @@ class SolveReport:
         return self.termination in (Termination.PARAM_TOL, Termination.COST_TOL)
 
 
-def _weigh(evaluation, loss: RobustLoss):
-    r = np.asarray(evaluation[0], dtype=np.float64)
-    jac = np.asarray(evaluation[1], dtype=np.float64)
-    cost, w = loss.cost_and_weights(r)
-    return r, jac, cost, w
-
-
 def solve_lm(
     residuals: ResidualProvider,
     x0: Pose4,
@@ -126,7 +111,8 @@ def solve_lm(
     ``COST_TOLERANCE``, or after ``MAX_ITERATIONS``. ``loss`` is any object
     with ``cost_and_weights(r) -> (cost, weights)``: the total cost of the
     residuals ``r`` and the per-residual weights ``rho'(r^2)`` of the
-    reweighted system. ``start``, when given, is the
+    reweighted system. The provider returns ``(r, J)`` as float64 arrays
+    of shape (N,) and (N, 4), read as given. ``start``, when given, is the
     provider's output at ``x0`` (for example an earlier solve's
     ``final_evaluation``); the solve then does not evaluate ``x0`` again.
     Accepted robust costs are strictly decreasing; yaw is re-wrapped after
@@ -140,7 +126,7 @@ def solve_lm(
         start = residuals(pose)
         evaluations = 1
     evaluation = start
-    r, jac, cost, w = _weigh(evaluation, loss)
+    cost, w = loss.cost_and_weights(evaluation[0])
     initial_cost = cost
     if not np.isfinite(cost):
         return SolveReport(pose, initial_cost, cost, 0, Termination.NUMERICAL_FAILURE,
@@ -151,6 +137,7 @@ def solve_lm(
     termination = Termination.MAX_ITER
     for _ in range(MAX_ITERATIONS):
         iterations += 1
+        r, jac = evaluation
         wj = jac * w[:, None]
         normal = wj.T @ jac
         gradient = jac.T @ (w * r)
@@ -179,12 +166,11 @@ def solve_lm(
                 pose_new = Pose4.from_array(x + delta)
                 trial = residuals(pose_new)
                 evaluations += 1
-                r_new, jac_new, cost_new, w_new = _weigh(trial, loss)
+                cost_new, w_new = loss.cost_and_weights(trial[0])
                 if np.isfinite(cost_new) and cost_new < cost:
                     drop = cost - cost_new
                     x = pose_new.as_array()
-                    pose, evaluation, r, jac, w = pose_new, trial, r_new, jac_new, w_new
-                    cost = cost_new
+                    pose, evaluation, cost, w = pose_new, trial, cost_new, w_new
                     lam = max(lam * DAMPING_DECREASE, 1e-15)
                     if drop < COST_TOLERANCE * max(cost, 1e-300):
                         termination = Termination.COST_TOL

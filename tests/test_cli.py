@@ -111,6 +111,14 @@ def test_eval_bad_timing_is_stage_error(workspace, tmp_path, capsys, content):
     assert "read-timing" in capsys.readouterr().err
 
 
+def test_eval_of_header_only_trajectories_fails_in_evaluate(tmp_path, capsys):
+    est, gt = tmp_path / "est.csv", tmp_path / "gt.csv"
+    for path in (est, gt):
+        path.write_text("t,tx,ty,tz,yaw\n")
+    assert main(["eval", "--est", str(est), "--gt", str(gt)]) == 2
+    assert "evaluate: cannot evaluate empty trajectories" in capsys.readouterr().err
+
+
 def test_eval_reads_timing(workspace, tmp_path, capsys):
     root = workspace
     gt = root / "scn" / "ground_truth.csv"

@@ -65,6 +65,11 @@ def test_rmse_timestamp_mismatch():
         trajectory_rmse([_row(0.0)], [_row(0.5)])
 
 
+def test_rmse_of_empty_trajectories_is_refused():
+    with pytest.raises(ValueError, match="empty"):
+        trajectory_rmse([], [])
+
+
 def test_bench_row_invariants():
     with pytest.raises(ValueError):
         BenchRow("dll", "baseline", 0.1, 0.1, 0.1, 0.1, 0.01, 0.001, diverged=True)

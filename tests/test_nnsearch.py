@@ -42,6 +42,34 @@ def test_empty_cloud_rejected():
         brute_force_nearest(np.empty((0, 3)), [0.0, 0.0, 0.0])
 
 
+NON_FINITE_MAP = np.array([[0.0, 0.0, 0.0], [5.0, 5.0, 5.0], [np.nan, 1.0, 1.0], [1.0, 0.0, 0.0]])
+
+
+@pytest.mark.parametrize(
+    "search",
+    [
+        build_index,
+        lambda pts: brute_force_distances(pts, [[5.0, 5.0, 5.1]]),
+        lambda pts: brute_force_nearest(pts, [5.0, 5.0, 5.1]),
+    ],
+    ids=["build_index", "brute_force_distances", "brute_force_nearest"],
+)
+def test_a_raw_array_with_a_non_finite_point_is_refused_alike(search):
+    # A non-finite map point must be refused, not searched: it leaves the
+    # blocked scan no candidate (every query got point 0's distance, 8.60 m
+    # for a query 0.1 m from [5, 5, 5]) and makes the NaN point the linear
+    # scan's winner.
+    with pytest.raises(ValueError, match="index points must be finite"):
+        search(NON_FINITE_MAP)
+    with pytest.raises(ValueError, match="index points must be finite"):
+        search(np.where(np.isnan(NON_FINITE_MAP), np.inf, NON_FINITE_MAP))
+
+
+def test_the_oracle_still_answers_a_nan_query():
+    d = brute_force_distances(NON_FINITE_MAP[[0, 1, 3]], [[np.nan, 0.0, 0.0], [5.0, 5.0, 5.1]])
+    assert np.isnan(d[0]) and d[1] == pytest.approx(0.1)
+
+
 def test_brute_force_pythagorean():
     _, d = brute_force_nearest(np.array([[0.0, 0.0, 0.0]]), [3.0, 4.0, 0.0])
     assert d == pytest.approx(5.0)

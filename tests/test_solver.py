@@ -10,7 +10,6 @@ from dfloc.registration import PARAM_TOLERANCE
 from dfloc.solver import (
     RobustLoss,
     Termination,
-    cauchy_rho,
     solve_lm,
 )
 
@@ -46,30 +45,32 @@ def linear_lsq(a, b):
 
 
 def test_cauchy_rho_zero():
-    rho, drho = cauchy_rho(0.0, 0.1)
-    assert rho == 0.0 and drho == 1.0
+    rho, drho = RobustLoss(0.1).cost_and_weights(np.array([0.0]))
+    assert rho == 0.0 and drho[0] == 1.0
 
 
 def test_cauchy_rho_large_s_suppressed():
-    _, drho = cauchy_rho(1e6, 0.1)
-    assert drho < 1e-7
+    # A squared residual of 1e6.
+    _, drho = RobustLoss(0.1).cost_and_weights(np.array([1e3]))
+    assert drho[0] < 1e-7
 
 
 def test_cauchy_rho_reference_value():
-    rho, drho = cauchy_rho(0.01, 0.1)
+    # A squared residual of 0.01, the square of the scale.
+    rho, drho = RobustLoss(0.1).cost_and_weights(np.array([0.1]))
     assert rho == pytest.approx(0.01 * math.log(2.0))
-    assert drho == pytest.approx(0.5)
+    assert drho[0] == pytest.approx(0.5)
 
 
 def test_cauchy_requires_positive_scale():
     with pytest.raises(ValueError):
-        cauchy_rho(1.0, 0.0)
+        RobustLoss(0.0)
     with pytest.raises(ValueError):
         RobustLoss(-1.0)
     with pytest.raises(ValueError):
-        cauchy_rho(1.0, math.inf)
-    with pytest.raises(ValueError):
         RobustLoss(math.inf)
+    with pytest.raises(ValueError):
+        RobustLoss(math.nan)
 
 
 def test_zero_residual_start_converges_immediately():
@@ -121,6 +122,34 @@ def test_linear_problem_reaches_closed_form_from_default_damping(monkeypatch):
     assert report.iterations <= 12
 
 
+def test_a_singular_solve_damps_harder_and_still_converges(monkeypatch):
+    rng = np.random.default_rng(20)
+    a = rng.normal(size=(12, 4))
+    b = rng.normal(size=12)
+    x_star, *_ = np.linalg.lstsq(a, b, rcond=None)
+    x_star[3] = math.remainder(x_star[3], 2 * math.pi)
+    real_solve = np.linalg.solve
+    systems = []
+
+    def solve_failing_once(m, v):
+        systems.append(m.copy())
+        if len(systems) == 1:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return real_solve(m, v)
+
+    monkeypatch.setattr(np.linalg, "solve", solve_failing_once)
+    monkeypatch.setattr(solver, "COST_TOLERANCE", 1e-15)
+    provider, calls = _counting(linear_lsq(a, b))
+    report = solve_lm(provider, Pose4.identity(), QUADRATIC, 1e-13)
+    assert report.converged
+    assert np.abs(report.final_params.as_array() - x_star).max() < 1e-8
+    assert report.evaluations == len(calls)
+    # The failed system carried lam = 0.1; the retry carries ten times that.
+    diag = np.diag(a.T @ a)
+    assert np.allclose(np.diag(systems[0]), 1.1 * diag)
+    assert np.allclose(np.diag(systems[1]), 2.0 * diag)
+
+
 def test_accepted_costs_monotone():
     rng = np.random.default_rng(21)
     a = rng.normal(size=(30, 4))
@@ -150,11 +179,10 @@ def test_reweighted_gradient_matches_robust_cost_derivative():
 
     def robust_cost(x):
         r, _ = provider(Pose4.from_array(x))
-        rho, _ = cauchy_rho(r**2, loss.scale)
-        return rho.sum()
+        return loss.cost_and_weights(r)[0]
 
     r, jac = provider(Pose4.from_array(x0))
-    _, w = cauchy_rho(r**2, loss.scale)
+    _, w = loss.cost_and_weights(r)
     analytic = 2.0 * jac.T @ (w * r)  # d/dx sum rho(r^2)
     h = 1e-6
     for k in range(4):

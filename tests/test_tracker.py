@@ -1,13 +1,16 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from dfloc import bench, registration, tracker
-from dfloc.distance_field import DfGrid, GridSpec
+from dfloc.distance_field import DfGrid, GridSpec, build_grid, plan_grid
 from dfloc.formats import write_report
 from dfloc.geometry import Attitude, Frame, PointCloud, Pose4, compose, tilt_compensate
 from dfloc.nnsearch import build_index
 from dfloc.registration import RegistrationError, icp_register
-from dfloc.synth import NoiseSetup, ScanModel, make_scenario
+from dfloc.synth import NoiseSetup, ScanModel, make_scenario, make_scene
 from dfloc.tracker import ScanFrame, TrackStepError, advance, init_tracker, track_step
 
 
@@ -228,3 +231,23 @@ def test_dll_tracking_fits_the_table_before_timing(monkeypatch, small_grid, larg
     bench.run_tracking(largenoise_scenario, "dll", "baseline", grid=grid, seed=0)
     assert fitted and all(fitted)
     assert "coeffs" not in grid.__dict__
+
+
+def test_dll_stays_within_1_5x_of_icp_under_a_half_degree_tilt_bias():
+    # The 4-DOF premise: the IMU's roll and pitch are taken as exact. A bias
+    # on both tilts the compensated scan, and neither method can correct it;
+    # both lose precision about linearly (README, "Roll and pitch come from
+    # the IMU"). DLL must lose it no faster than ICP.
+    scene = make_scene("box_room", 6.0, 25.0, seed=11)
+    grid = build_grid(scene.map, plan_grid(scene.map, 0.1, margin=1.0))
+    model = ScanModel(max_range=15.0, points=1000, noise_sigma=0.02)
+    scenario = make_scenario(scene, steps=20, step_length=0.15, model=model,
+                             noise=NoiseSetup(0.03, 0.008), seed=9)
+    bias = math.radians(0.5)
+    tilted = replace(scenario, frames=tuple(
+        replace(f, attitude=Attitude(f.attitude.roll + bias, f.attitude.pitch + bias)) for f in scenario.frames
+    ))
+    dll = bench.bench_row(bench.run_tracking(tilted, "dll", "baseline", grid=grid, seed=9), tilted)
+    icp = bench.bench_row(bench.run_tracking(tilted, "icp", "baseline", map_index=build_index(scene.map), seed=9), tilted)
+    assert not dll.diverged and not icp.diverged
+    assert dll.rmse_t <= 1.5 * icp.rmse_t, f"dll {dll.rmse_t * 1e3:.2f} mm vs icp {icp.rmse_t * 1e3:.2f} mm"
