@@ -41,12 +41,7 @@ from .registration import (
     dll_register,
     icp_register,
 )
-from .solver import (
-    RobustLoss,
-    SolveReport,
-    Termination,
-    solve_lm,
-)
+from .solver import RobustLoss, SolveReport, Termination, solve_lm
 from .synth import (
     NoiseSetup,
     ScanModel,

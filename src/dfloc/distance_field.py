@@ -110,10 +110,19 @@ class GridSpec:
     def counts(self) -> np.ndarray:
         return np.array([self.nx, self.ny, self.nz])
 
+    @cached_property
+    def axes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Node coordinates along x, y and z, ``origin[a] + resolution * i`` for i in 0..n: the one
+        expression of a node's position, which the build and every query read."""
+        axes = tuple(self.origin[a] + self.resolution * np.arange(n + 1) for a, n in enumerate(self.counts))
+        for axis in axes:
+            axis.setflags(write=False)
+        return axes
+
     @property
     def upper(self) -> np.ndarray:
         """Maximum corner of the grid volume."""
-        return self.origin + self.resolution * self.counts
+        return np.array([axis[-1] for axis in self.axes])
 
     def node_coordinates(self, x_start: int = 0, x_stop: int | None = None) -> np.ndarray:
         """Lattice node positions of the x planes [x_start, x_stop), all by default.
@@ -121,11 +130,8 @@ class GridSpec:
         Shape ((x_stop-x_start)*(ny+1)*(nz+1), 3) in ij order (z varies
         fastest). A node's coordinates do not depend on the range asked for.
         """
-        if x_stop is None:
-            x_stop = self.nx + 1
-        ranges = (np.arange(x_start, x_stop), np.arange(self.ny + 1), np.arange(self.nz + 1))
-        axes = [self.origin[a] + self.resolution * ranges[a] for a in range(3)]
-        mesh = np.meshgrid(*axes, indexing="ij")
+        ax, ay, az = self.axes
+        mesh = np.meshgrid(ax[x_start:x_stop], ay, az, indexing="ij")
         return np.stack(mesh, axis=-1).reshape(-1, 3)
 
 
@@ -140,19 +146,20 @@ class DfGrid:
     """Built distance field: node lattice plus the trilinear coefficients of the cells near the surface.
 
     node_distances has shape (nx+1, ny+1, nz+1). A cell's coefficients are
-    the fit of its 8 nodes (``fit_cell_coeffs``). ``band`` holds them for
-    the cells near the surface: ``(slots, rows)``, with one int32 slot per
+    the fit of its 8 nodes (``_fit_cells``). ``band`` holds them for the
+    cells near the surface: ``(slots, rows)``, with one int32 slot per
     lattice node and a row for each cell in the band (smallest corner
-    distance at most ``BAND_CELLS`` times the resolution). A cell's slot, at
-    its minimum corner, is the index of its row or -1. The band is fitted on
-    first access; ``load_grid`` fits it before it returns. ``coeffs``
-    assembles and keeps the whole table on request; queries never ask for
-    it. ``table`` stays for callers that pass one, such as the benchmark's
-    corrupted-file self-test: it must have shape (nx, ny, nz, 8) and be
-    finite, and the grid keeps none of its values. Everything is
-    read-only, so a grid can serve any number of concurrent queries; racing
-    first accesses at worst fit the band twice. ``max_distance`` is the
-    largest node distance, an upper bound of the field inside the volume.
+    distance at most ``BAND_CELLS`` times the resolution), in lattice order.
+    A cell's slot, at its minimum corner, is the index of its row or -1. The
+    band, and no other cell, is fitted on first access; ``load_grid`` fits
+    it before it returns. ``coeffs`` assembles and keeps the whole table on
+    request; queries never ask for it. ``table`` stays for callers that
+    pass one, such as the benchmark's corrupted-file self-test: it must
+    have shape (nx, ny, nz, 8) and be finite, and the grid keeps none of
+    its values. Everything is read-only, so a grid can serve any number of
+    concurrent queries; racing first accesses at worst fit the band twice.
+    ``max_distance`` is the largest node distance, an upper bound of the
+    field inside the volume.
     """
 
     spec: GridSpec
@@ -194,9 +201,10 @@ class DfGrid:
 
 
 def _band(spec: GridSpec, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A grid's ``(slots, rows)``: the fit of its nodes for each cell in the band.
+    """A grid's ``(slots, rows)``: the fit of its nodes for each cell in the band, and for no other.
 
-    Holds the nodes, the slots, the rows and one slab's working arrays.
+    Slots count up in lattice order, so each slab's rows are one run. Holds
+    the nodes, the slots, the rows and one slab's working arrays.
     """
     slabs = _slabs(spec, spec.nx)
     # A row index fits int32 unless the grid has 2**31 cells or more.
@@ -213,10 +221,11 @@ def _band(spec: GridSpec, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         lattice[c0:c1, :-1, :-1][near] = np.arange(count, count + n)
         count += n
     rows = np.empty((count, 8))
+    start = 0
     for c0, c1 in slabs:
-        slot = lattice[c0:c1, :-1, :-1]
-        kept = slot >= 0
-        rows[slot[kept]] = fit_cell_coeffs(nodes[c0 : c1 + 1], spec.resolution)[kept]
+        corner = c0 * lattice[0].size + np.flatnonzero(lattice[c0:c1] >= 0)  # flat, on the whole lattice
+        rows[start : start + corner.size] = _fit_cells(nodes, spec.resolution, corner)
+        start += corner.size
     slots.setflags(write=False)
     rows.setflags(write=False)
     return slots, rows
@@ -252,33 +261,33 @@ def fit_cell_coeffs(nodes, resolution: float) -> np.ndarray:
     ``nodes`` holds distances on an (a + 1, b + 1, c + 1) lattice indexed
     [x, y, z]; the result has shape (a, b, c, 8), in cell-local metric
     coordinates. Cell (i, j, k) is fitted from the 8 nodes at
-    (i + di, j + dj, k + dk) for di, dj, dk in {0, 1}.
+    (i + di, j + dj, k + dk) for di, dj, dk in {0, 1}, by ``_fit_cells``.
     """
     d = np.asarray(nodes, dtype=np.float64)
     if d.ndim != 3:
         raise ValueError(f"expected a 3-D node lattice, got shape {d.shape}")
-    lo, hi = slice(None, -1), slice(1, None)
-    corners = [d[x, y, z] for z in (lo, hi) for y in (lo, hi) for x in (lo, hi)]  # _trilinear_fit's order
-    out = np.empty(corners[0].shape + (8,))
-    for k, coeff in enumerate(_trilinear_fit(corners, resolution)):
-        out[..., k] = coeff
-    return out
+    corner = np.arange(d.size).reshape(d.shape)[:-1, :-1, :-1]
+    return _fit_cells(d, resolution, corner.ravel()).reshape(corner.shape + (8,))
 
 
-def _trilinear_fit(corners, resolution: float):
-    """Yield, one at a time, the 8 coefficients of cells whose corner distances are
-    ``corners`` = (d000, d100, d010, d110, d001, d101, d011, d111), x fastest."""
-    d000, d100, d010, d110, d001, d101, d011, d111 = corners
+def _fit_cells(nodes: np.ndarray, resolution: float, corner) -> np.ndarray:
+    """Trilinear coefficients, shape (N, 8), of the cells of the (a + 1, b + 1, c + 1) lattice
+    ``nodes`` whose minimum corners are ``corner`` (N flat indices); the one copy of the fit."""
+    _, ny, nz = nodes.shape
+    offsets = np.array([[x * ny * nz + y * nz + z] for z in (0, 1) for y in (0, 1) for x in (0, 1)])
+    d000, d100, d010, d110, d001, d101, d011, d111 = np.take(nodes, offsets + corner)  # x fastest
     r = float(resolution)
     r2, r3 = r * r, r * r * r
-    yield d000
-    yield (d100 - d000) / r
-    yield (d010 - d000) / r
-    yield (d001 - d000) / r
-    yield (d110 - d100 - d010 + d000) / r2
-    yield (d101 - d100 - d001 + d000) / r2
-    yield (d011 - d010 - d001 + d000) / r2
-    yield (d111 - d110 - d101 - d011 + d100 + d010 + d001 - d000) / r3
+    out = np.empty((8, d000.size))
+    out[0] = d000
+    out[1] = (d100 - d000) / r
+    out[2] = (d010 - d000) / r
+    out[3] = (d001 - d000) / r
+    out[4] = (d110 - d100 - d010 + d000) / r2
+    out[5] = (d101 - d100 - d001 + d000) / r2
+    out[6] = (d011 - d010 - d001 + d000) / r2
+    out[7] = (d111 - d110 - d101 - d011 + d100 + d010 + d001 - d000) / r3
+    return out.T
 
 
 def build_grid(cloud: PointCloud, spec: GridSpec, workers: int = -1) -> DfGrid:
@@ -312,9 +321,9 @@ def build_grid(cloud: PointCloud, spec: GridSpec, workers: int = -1) -> DfGrid:
     uncertified winner, and then its distance. That pass goes slab by slab
     of whole x planes (``SLAB_NODES`` nodes); plane queries go in blocks of
     at most half a slab, and fills one plane at a time. So a build holds
-    the lattice plus one slab's working arrays. The grid's band of
-    coefficient rows is fitted when first queried. The result is bitwise
-    independent of the worker count and slab size.
+    the lattice plus one slab's working arrays. Node positions come from
+    ``GridSpec.axes``, and the band is fitted when first queried. The
+    result is bitwise independent of the worker count and slab size.
     """
     if len(cloud) == 0:
         raise ValueError("cannot build a distance field from an empty map")
@@ -350,9 +359,7 @@ def _query_planes(index, spec: GridSpec, nodes: np.ndarray, axis: int, planes: n
         if p.size:
             ijk = [j, k]
             ijk.insert(axis, at[p])
-            coords = np.empty((p.size, 3))
-            for a in range(3):  # GridSpec.node_coordinates' expression, node by node
-                coords[:, a] = spec.origin[a] + spec.resolution * ijk[a]
+            coords = np.stack([spec.axes[a][ijk[a]] for a in range(3)], axis=-1)
             won, reach = certified_nearest(index, coords, workers)
             nodes[tuple(ijk)] = np.where(reach > 0.0, won, -2 - won)
 
@@ -386,15 +393,17 @@ def query_columns(grid: DfGrid, qx, qy, qz):
     This is the hot path shared by query_many and the registration
     residuals; it works on 1D coordinate arrays to avoid (N, 3)
     intermediates and axis reductions. A cell's coefficients are its row in
-    ``grid.band``, or else the fit of its 8 nodes, computed as
-    ``fit_cell_coeffs`` computes it, so a query reads the same bits as from
-    the whole table. It is the one place that decides the field outside the
-    volume: value ``grid.max_distance``, gradient 0.
+    ``grid.band``, or else ``_fit_cells``' fit of its 8 nodes, so a query
+    reads the same bits as from the whole table; a point's offset is from
+    its cell's minimum corner in ``GridSpec.axes``. It is the one place
+    that decides the field outside the volume: value ``grid.max_distance``,
+    gradient 0.
     """
     spec = grid.spec
     res = spec.resolution
     nx, ny, nz = spec.nx, spec.ny, spec.nz
     ox, oy, oz = spec.origin
+    ax, ay, az = spec.axes
     rx = (qx - ox) / res
     ry = (qy - oy) / res
     rz = (qz - oz) / res
@@ -413,9 +422,9 @@ def query_columns(grid: DfGrid, qx, qy, qz):
         np.minimum(i, n - 1, out=i)
     corner = (ix * (ny + 1) + iy) * (nz + 1) + iz  # each cell's minimum corner on the node lattice
     c0, c1, c2, c3, c4, c5, c6, c7 = _cell_coeffs(grid, corner).T
-    x = qx - (ox + ix * res)
-    y = qy - (oy + iy * res)
-    z = qz - (oz + iz * res)
+    x = qx - ax[ix]
+    y = qy - ay[iy]
+    z = qz - az[iz]
     t2 = c2 + c4 * x
     t4 = c6 + c7 * x
     gz = (c3 + c5 * x) + y * t4
@@ -441,14 +450,7 @@ def _cell_coeffs(grid: DfGrid, corner) -> np.ndarray:
     shape, slot, corner = np.shape(slot), np.ravel(slot), np.ravel(corner)
     miss = np.flatnonzero(slot < 0)
     coeffs = rows.take(np.maximum(slot, 0), axis=0) if len(rows) else np.empty((slot.size, 8))
-    sy = grid.spec.nz + 1
-    sx = (grid.spec.ny + 1) * sy
-    offsets = np.array([[x * sx + y * sy + z] for z in (0, 1) for y in (0, 1) for x in (0, 1)])
-    corners = np.take(grid.node_distances, offsets + corner[miss])  # (8, misses)
-    fitted = np.empty((8, miss.size))
-    for k, coeff in enumerate(_trilinear_fit(corners, grid.spec.resolution)):
-        fitted[k] = coeff
-    coeffs[miss] = fitted.T
+    coeffs[miss] = _fit_cells(grid.node_distances, grid.spec.resolution, corner[miss])
     return coeffs.reshape(shape + (8,))
 
 
@@ -490,13 +492,13 @@ def load_grid(path) -> DfGrid:
     """Read a grid written by save_grid; the round trip is bit-exact.
 
     The nodes are read whole and checked against the file's CRC-32, and the
-    grid's band is fitted from them before it is returned, so no query pays
-    for the fit. Raises GridMagicError, GridVersionError (a version 1 file
-    too: rebuild it with ``dfloc build-df``), GridDimensionError or
-    GridTruncatedError for the corresponding malformed inputs, before
-    reading the payload; GridTruncatedError also when the file shrinks while
-    it is read; and GridFileError for a checksum mismatch or any other
-    invalid content.
+    grid's band cells, and no other, are fitted before it returns, so no
+    query pays for the fit. Raises GridMagicError, GridVersionError (a
+    version 1 file too: rebuild it with ``dfloc build-df``),
+    GridDimensionError or GridTruncatedError for the corresponding
+    malformed inputs, before reading the payload; GridTruncatedError also
+    when the file shrinks while it is read; and GridFileError for a
+    checksum mismatch or any other invalid content.
     """
     with open(path, "rb") as fh:
         head = fh.read(_HEADER_SIZE)

@@ -14,6 +14,8 @@ keeps them in its float64 node lattice, so it holds no lattice of points.
 Distances are always recomputed from the winning point by
 ``exact_distance``, the expression ``brute_force_nearest`` uses, so the
 tree and the linear-scan oracle agree bit for bit whatever the leaf size.
+The index and both oracles raise ``ValueError`` for a NaN or inf point, and
+for a NaN or inf query (``nearest_many`` through scipy's own check).
 
 Both callers skip tree queries with a runner-up certificate, which
 ``certified_nearest`` issues: a ``k=2`` answer is certified when
@@ -49,14 +51,20 @@ TIE_GAP = 1e-9
 EXPANDED_FORM_SLACK = 64 * np.finfo(np.float64).eps
 
 
+def _finite(values, what: str) -> np.ndarray:
+    values = np.asarray(values, dtype=np.float64)
+    if not np.isfinite(values).all():
+        raise ValueError(f"{what} must be finite")
+    return values
+
+
 def _as_points(points) -> np.ndarray:
-    if isinstance(points, PointCloud):
-        return points.points
-    pts = np.asarray(points, dtype=np.float64)
+    """The points of the index and of both oracles: a non-empty, finite (N, 3) block."""
+    pts = points.points if isinstance(points, PointCloud) else _finite(points, "index points")
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError(f"expected an (N, 3) point array, got shape {pts.shape}")
-    if not np.isfinite(pts).all():
-        raise ValueError("index points must be finite")
+    if pts.shape[0] == 0:
+        raise ValueError("cannot index or search an empty cloud")
     return pts
 
 
@@ -74,8 +82,6 @@ class KdTree3:
 
     def __init__(self, points, leaf_size: int = LEAF_SIZE):
         pts = _as_points(points)
-        if pts.shape[0] == 0:
-            raise ValueError("cannot build an index over an empty cloud")
         self.points = np.ascontiguousarray(pts)
         self.points.setflags(write=False)
         from scipy.spatial import cKDTree  # on first use: see the module docstring
@@ -145,9 +151,7 @@ def build_index(points, leaf_size: int = LEAF_SIZE) -> KdTree3:
 def brute_force_nearest(points, q) -> tuple[np.ndarray, float]:
     """Linear-scan nearest neighbor; the independent oracle for KdTree3."""
     pts = _as_points(points)
-    if pts.shape[0] == 0:
-        raise ValueError("cannot search an empty cloud")
-    q = np.asarray(q, dtype=np.float64)
+    q = _finite(q, "queries")
     d2 = ((pts - q) ** 2).sum(axis=1)
     p = pts[int(np.argmin(d2))]
     return p, float(exact_distance(q, p))
@@ -163,16 +167,14 @@ def brute_force_distances(points, queries) -> np.ndarray:
     and the result carries no cancellation error.
     """
     pts = _as_points(points)
-    if pts.shape[0] == 0:
-        raise ValueError("cannot search an empty cloud")
-    queries = np.asarray(queries, dtype=np.float64)
+    queries = _finite(queries, "queries")
     single = queries.ndim == 1
     q = queries[None, :] if single else queries
     # About 1 M elements, 8 MB, per (block, N) temporary.
     block = max(1, 1_000_000 // pts.shape[0])
     p2 = (pts**2).sum(axis=1)
     p2_max = p2.max()
-    win = np.zeros(q.shape[0], dtype=np.intp)  # a NaN row has no candidate; it keeps point 0
+    win = np.zeros(q.shape[0], dtype=np.intp)
     for start in range(0, q.shape[0], block):
         blk = q[start : start + block]
         q2 = (blk**2).sum(axis=1)

@@ -148,6 +148,15 @@ def test_build_independent_of_workers_and_slabs(monkeypatch, tmp_path):
     assert _same_bits(reference.node_distances.ravel(), oracle)
     save_grid(reference, tmp_path / "reference.df")
     reference_bytes = (tmp_path / "reference.df").read_bytes()
+    slots, rows = reference.band
+    fit = distance_field._fit_cells
+    fitted = []
+
+    def spy(nodes, resolution, corner):
+        fitted.append(np.size(corner))
+        return fit(nodes, resolution, corner)
+
+    monkeypatch.setattr(distance_field, "_fit_cells", spy)
     variants = [("workers=-1", distance_field.SLAB_NODES, -1), ("one plane", plane, 1),
                 ("half a plane", plane // 2, -1), ("5 planes", 5 * plane, 1)]
     for name, slab, workers in variants:
@@ -156,6 +165,12 @@ def test_build_independent_of_workers_and_slabs(monkeypatch, tmp_path):
         assert _same_bits(grid.node_distances, reference.node_distances), name
         save_grid(grid, tmp_path / f"{name}.df")
         assert (tmp_path / f"{name}.df").read_bytes() == reference_bytes, name
+        # Each slab's band rows are one contiguous run, whatever the slab size.
+        fitted.clear()
+        loaded = load_grid(tmp_path / f"{name}.df")
+        assert sum(fitted) == len(rows), f"{name}: the load fitted {sum(fitted)} cells for {len(rows)} band rows"
+        for copy in (grid, loaded):
+            assert np.array_equal(copy.band[0], slots) and _same_bits(copy.band[1], rows), name
         assert _same_bits(grid.coeffs, reference.coeffs), name
     # The lazily fitted table is the one-shot fit of the whole lattice, and a
     # materialized or loaded table saves to the same bytes as an untouched one.
@@ -532,8 +547,8 @@ def test_band_queries_keep_the_bits_of_the_whole_table(tmp_path, rotated_room):
 
 def test_load_keeps_the_band_not_the_table(tmp_path):
     # A 0.1 m grid of a 10 m room, the tracking benchmark's geometry. The loader
-    # holds the nodes, one slot per node, the band's rows and one slab's fit at
-    # a time, never the whole table.
+    # holds the nodes, one slot per node, the band's rows and the fit of one
+    # slab's band cells at a time, never the whole table.
     scene = synth.make_scene("box_room", 10.0, 30.0, seed=3)
     spec = plan_grid(scene.map, 0.1, margin=1.0)
     path = tmp_path / "grid.df"

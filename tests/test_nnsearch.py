@@ -65,9 +65,22 @@ def test_a_raw_array_with_a_non_finite_point_is_refused_alike(search):
         search(np.where(np.isnan(NON_FINITE_MAP), np.inf, NON_FINITE_MAP))
 
 
-def test_the_oracle_still_answers_a_nan_query():
-    d = brute_force_distances(NON_FINITE_MAP[[0, 1, 3]], [[np.nan, 0.0, 0.0], [5.0, 5.0, 5.1]])
-    assert np.isnan(d[0]) and d[1] == pytest.approx(0.1)
+@pytest.mark.parametrize(
+    "search",
+    [
+        lambda pts, q: build_index(pts).nearest_many(q),
+        brute_force_distances,
+        lambda pts, q: brute_force_nearest(pts, q[0]),
+    ],
+    ids=["nearest_many", "brute_force_distances", "brute_force_nearest"],
+)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_query_is_refused_alike(search, bad):
+    # The tree refuses it through scipy; the oracles answered a NaN row with
+    # NaN, an inf row with inf and two RuntimeWarnings, and the linear scan
+    # returned point 0.
+    with pytest.raises(ValueError, match="must be finite"):
+        search(NON_FINITE_MAP[[0, 1, 3]], np.array([[bad, 0.0, 0.0], [5.0, 5.0, 5.1]]))
 
 
 def test_brute_force_pythagorean():
